@@ -3,7 +3,7 @@
 GO      ?= go
 BINDIR  ?= /tmp/starts-bin
 
-.PHONY: build test vet race lint bench bench-dispatch bench-wire bench-peer bench-engine bench-load bench-load-smoke warm soak tier1 tier2 check cli clean
+.PHONY: build test vet race lint bench bench-dispatch bench-wire bench-peer bench-engine bench-load bench-load-smoke bench-selftest warm soak tier1 tier2 check cli clean
 
 build:
 	$(GO) build ./...
@@ -85,6 +85,12 @@ bench-load:
 # HTTP path still work end to end, not the numbers.
 bench-load-smoke:
 	$(GO) run ./tools/benchload -rate 10 -duration 1s -docs 40 -queries 8 -out /tmp/bench_load_smoke.json
+
+# bench-selftest vets and tests the benchmark in perfbench/, a separate
+# module that `go build ./...` never compiles: it catches an internal API
+# change that breaks the benchmark before the benchmark itself is run.
+bench-selftest:
+	cd perfbench && GOWORK=off GOFLAGS=-mod=mod $(GO) vet . && GOWORK=off GOFLAGS=-mod=mod $(GO) test ./...
 
 # soak runs the long-haul resilience scenarios (breaker lifecycle, fault
 # injection, adaptive-admission overload) under the race detector.

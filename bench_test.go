@@ -421,8 +421,8 @@ func BenchmarkFanoutMultiplexed(b *testing.B) {
 			MaxBatchWire:      32,
 		})
 		for _, s := range srcs {
-			conn, ok := starts.ChainBatchConn(starts.NewLocalConn(s, nil), mw...)
-			if !ok {
+			conn := starts.ChainConn(starts.NewLocalConn(s, nil), mw...)
+			if _, ok := conn.(starts.BatchConn); !ok {
 				b.Fatal("middleware chain dropped the batch capability")
 			}
 			ms.Add(conn)

@@ -25,24 +25,43 @@ import (
 // the others: transport-level breakage fills every still-unresolved
 // slot, but per-item errors stay per-item.
 //
-// Capability assertion: middlewares that wrap a BatchConn should
-// implement QueryBatch themselves (delegating per item or per batch) —
-// a wrapper that only implements Conn silently downgrades the whole
-// chain to per-item calls. ChainBatch reports whether the capability
-// survived.
+// Capability rule: a middleware never adds or drops the batch
+// capability. Each middleware implements QueryBatch next to Query and
+// returns its wrapper through Keep, so a chain is a BatchConn exactly
+// when its leaf is.
 type BatchConn interface {
 	Conn
 	// QueryBatch evaluates qs at the source in one wire call.
 	QueryBatch(ctx context.Context, qs []*query.Query) ([]*result.Results, []error)
 }
 
-// ChainBatch wraps conn like Chain and additionally reports whether the
-// resulting chain still exposes the batch capability — i.e. the leaf is
-// a BatchConn and every middleware passed it through.
-func ChainBatch(conn Conn, mw ...Middleware) (Conn, bool) {
-	conn = Chain(conn, mw...)
-	_, ok := conn.(BatchConn)
-	return conn, ok
+// Keep returns w, the wrapper a middleware built around inner, with
+// inner's batch capability: w itself when inner is a BatchConn, and w
+// behind a plain Conn otherwise, so w's QueryBatch (which delegates to
+// inner's) is reachable only when inner can serve it.
+func Keep(inner Conn, w BatchConn) Conn {
+	if _, ok := inner.(BatchConn); ok {
+		return w
+	}
+	return struct{ Conn }{w}
+}
+
+// QueryEach evaluates qs concurrently through c's Query, one call per
+// item: the batch semantics for a conn without a batch wire call. The
+// slices it returns are index-aligned with qs.
+func QueryEach(ctx context.Context, c Conn, qs []*query.Query) ([]*result.Results, []error) {
+	results := make([]*result.Results, len(qs))
+	errs := make([]error, len(qs))
+	var wg sync.WaitGroup
+	for i, q := range qs {
+		wg.Add(1)
+		go func(i int, q *query.Query) {
+			defer wg.Done()
+			results[i], errs[i] = c.Query(ctx, q)
+		}(i, q)
+	}
+	wg.Wait()
+	return results, errs
 }
 
 // splitBatchErr fills every still-unresolved slot with err. It is the
@@ -162,16 +181,5 @@ func BatchURL(queryURL string) string { return queryURL + "-batch" }
 // QueryBatch implements BatchConn for in-process sources: items run
 // concurrently, mirroring the server-side batch handler.
 func (l *LocalConn) QueryBatch(ctx context.Context, qs []*query.Query) ([]*result.Results, []error) {
-	results := make([]*result.Results, len(qs))
-	errs := make([]error, len(qs))
-	var wg sync.WaitGroup
-	for i, q := range qs {
-		wg.Add(1)
-		go func(i int, q *query.Query) {
-			defer wg.Done()
-			results[i], errs[i] = l.Query(ctx, q)
-		}(i, q)
-	}
-	wg.Wait()
-	return results, errs
+	return QueryEach(ctx, l, qs)
 }

@@ -12,6 +12,7 @@ import (
 
 	"starts/internal/client"
 	"starts/internal/dispatch"
+	"starts/internal/faulty"
 	"starts/internal/meta"
 	"starts/internal/obs"
 	"starts/internal/qcache"
@@ -187,13 +188,12 @@ func (b *batchLeaf) QueryBatch(ctx context.Context, qs []*query.Query) ([]*resul
 	return results, errs
 }
 
-// TestChainOrderBatchCapability pins the capability-assertion rule on
-// the recommended chain observe(dispatch(cache(retry(conn)))): with a
+// TestChainOrderBatchCapability pins the capability rule on the
+// recommended chain observe(dispatch(cache(retry(conn)))): with a
 // BatchConn leaf every exported middleware passes QueryBatch through,
 // so the fully wrapped conn still multiplexes — and one queue drain of
 // distinct queries reaches the leaf as ONE wire call. A batch-blind
-// middleware anywhere in the chain downgrades it, which ChainBatch
-// reports.
+// middleware anywhere in the chain downgrades it.
 func TestChainOrderBatchCapability(t *testing.T) {
 	policy := resilient.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 1}
 	mkQuery := func(term string) *query.Query {
@@ -212,21 +212,16 @@ func TestChainOrderBatchCapability(t *testing.T) {
 		cache := qcache.New(qcache.Config{Metrics: reg})
 		d := dispatch.New(dispatch.Config{Limits: dispatch.Limits{Concurrency: 1}})
 		defer d.Close()
-		conn, ok := client.ChainBatch(src,
-			func(c client.Conn) client.Conn {
-				if bc, isBatch := c.(client.BatchConn); isBatch {
-					return resilient.WrapBatch(bc, policy, nil)
-				}
-				return resilient.Wrap(c, policy, nil)
-			},
+		conn := client.Chain(src,
+			func(c client.Conn) client.Conn { return resilient.Wrap(c, policy, nil) },
 			func(c client.Conn) client.Conn { return qcache.WrapConn(c, cache) },
 			func(c client.Conn) client.Conn { return dispatch.WrapConn(c, d, dispatch.Limits{Concurrency: 1}) },
 			func(c client.Conn) client.Conn { return obs.WrapConn(c, reg) },
 		)
+		bc, ok := conn.(client.BatchConn)
 		if !ok {
-			t.Fatal("ChainBatch reports the batch capability was dropped")
+			t.Fatal("the chain dropped the batch capability")
 		}
-		bc := conn.(client.BatchConn)
 
 		// Park the single worker on a decoy query, queue three distinct
 		// queries behind it, then open the gate: the freed worker drains
@@ -303,11 +298,49 @@ func TestChainOrderBatchCapability(t *testing.T) {
 	t.Run("batch-blind-middleware-downgrades", func(t *testing.T) {
 		src := &batchLeaf{}
 		var n atomic.Int64
-		_, ok := client.ChainBatch(src, countingMW(&n))
-		if ok {
-			t.Error("ChainBatch must report a downgrade through a batch-blind middleware")
+		if _, ok := client.Chain(src, countingMW(&n)).(client.BatchConn); ok {
+			t.Error("a batch-blind middleware must downgrade the chain")
 		}
 	})
+}
+
+// TestWrapKeepsBatchCapability pins the one capability rule on every
+// middleware constructor: wrapping a batch-capable inner yields a
+// client.BatchConn, wrapping a plain inner does not — a plain wrapper
+// must not claim a QueryBatch it cannot serve.
+func TestWrapKeepsBatchCapability(t *testing.T) {
+	d := dispatch.New(dispatch.Config{})
+	defer d.Close()
+	for _, tc := range []struct {
+		name string
+		wrap client.Middleware
+	}{
+		{"client.Keep", func(c client.Conn) client.Conn { return client.Keep(c, &batchLeaf{}) }},
+		{"obs.WrapConn", func(c client.Conn) client.Conn { return obs.WrapConn(c, obs.NewRegistry()) }},
+		{"qcache.WrapConn", func(c client.Conn) client.Conn { return qcache.WrapConn(c, qcache.New(qcache.Config{})) }},
+		{"dispatch.WrapConn", func(c client.Conn) client.Conn { return dispatch.WrapConn(c, d, dispatch.Limits{}) }},
+		{"resilient.Wrap", func(c client.Conn) client.Conn { return resilient.Wrap(c, resilient.RetryPolicy{}, nil) }},
+		{"faulty.WrapBatch", func(c client.Conn) client.Conn {
+			if bc, ok := c.(client.BatchConn); ok {
+				return faulty.WrapBatch(bc, faulty.Config{})
+			}
+			return faulty.WrapConn(c, faulty.Config{})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if w := tc.wrap(&batchLeaf{}); !isBatch(w) {
+				t.Errorf("wrapping a batch-capable inner gave %T, want a client.BatchConn", w)
+			}
+			if w := tc.wrap(&flakyConn{}); isBatch(w) {
+				t.Errorf("wrapping a plain inner gave %T, which claims batch capability", w)
+			}
+		})
+	}
+}
+
+func isBatch(c client.Conn) bool {
+	_, ok := c.(client.BatchConn)
+	return ok
 }
 
 // gatedConn parks every Query until release closes, counting the calls
@@ -332,8 +365,7 @@ func (g *gatedConn) Query(ctx context.Context, _ *query.Query) (*result.Results,
 // TestChainOrderWithDispatch pins where the dispatching middleware
 // belongs: OUTSIDE the cache (so concurrent identical misses coalesce
 // into one batch before they can stampede the fill) and INSIDE the
-// observer (so coalesced calls still count). It also pins — by compiling
-// — that dispatch.WrapConn satisfies client.Conn structurally.
+// observer (so coalesced calls still count).
 func TestChainOrderWithDispatch(t *testing.T) {
 	policy := resilient.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 1}
 

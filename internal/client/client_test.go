@@ -1,4 +1,4 @@
-package client
+package client_test
 
 import (
 	"context"
@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"starts/internal/client"
 	"starts/internal/engine"
 	"starts/internal/index"
 	"starts/internal/query"
@@ -53,8 +54,8 @@ func startServer(t *testing.T) (*httptest.Server, *atomic.Int64) {
 func TestHTTPConnCachesMetadata(t *testing.T) {
 	ts, hits := startServer(t)
 	ctx := context.Background()
-	c := NewClient(ts.Client())
-	conn := NewHTTPConn(c, "S1", ts.URL+"/sources/S1/metadata")
+	c := client.NewClient(ts.Client())
+	conn := client.NewHTTPConn(c, "S1", ts.URL+"/sources/S1/metadata")
 
 	if _, err := conn.Metadata(ctx); err != nil {
 		t.Fatal(err)
@@ -84,8 +85,8 @@ func TestHTTPConnCachesMetadata(t *testing.T) {
 func TestHTTPConnLazyMetadata(t *testing.T) {
 	ts, _ := startServer(t)
 	ctx := context.Background()
-	c := NewClient(ts.Client())
-	conn := NewHTTPConn(c, "S1", ts.URL+"/sources/S1/metadata")
+	c := client.NewClient(ts.Client())
+	conn := client.NewHTTPConn(c, "S1", ts.URL+"/sources/S1/metadata")
 	// Summary without a prior Metadata call fetches metadata implicitly.
 	sum, err := conn.Summary(ctx)
 	if err != nil || sum.NumDocs != 1 {
@@ -96,7 +97,7 @@ func TestHTTPConnLazyMetadata(t *testing.T) {
 func TestDiscover(t *testing.T) {
 	ts, _ := startServer(t)
 	ctx := context.Background()
-	c := NewClient(ts.Client())
+	c := client.NewClient(ts.Client())
 	conns, err := c.Discover(ctx, ts.URL+"/resource")
 	if err != nil || len(conns) != 1 || conns[0].SourceID() != "S1" {
 		t.Fatalf("Discover = %v, %v", conns, err)
@@ -114,7 +115,7 @@ func TestClientHTTPErrorsIncludeBody(t *testing.T) {
 		http.Error(w, "synthetic failure detail", http.StatusTeapot)
 	}))
 	defer ts.Close()
-	c := NewClient(ts.Client())
+	c := client.NewClient(ts.Client())
 	_, err := c.Resource(context.Background(), ts.URL+"/resource")
 	if err == nil || !strings.Contains(err.Error(), "synthetic failure detail") {
 		t.Errorf("error lacks body detail: %v", err)
@@ -122,7 +123,7 @@ func TestClientHTTPErrorsIncludeBody(t *testing.T) {
 }
 
 func TestClientBadURL(t *testing.T) {
-	c := NewClient(nil)
+	c := client.NewClient(nil)
 	if _, err := c.Resource(context.Background(), "://not-a-url"); err == nil {
 		t.Error("bad URL accepted")
 	}
@@ -135,7 +136,7 @@ func TestClientBadURL(t *testing.T) {
 
 func TestQueryMarshalErrorSurfaces(t *testing.T) {
 	ts, _ := startServer(t)
-	c := NewClient(ts.Client())
+	c := client.NewClient(ts.Client())
 	// An invalid query fails before any request is made.
 	if _, err := c.Query(context.Background(), ts.URL+"/sources/S1/query", query.New()); err == nil {
 		t.Error("invalid query accepted")
@@ -147,11 +148,11 @@ func TestStatusErrorTyped(t *testing.T) {
 		http.Error(w, "overloaded", http.StatusServiceUnavailable)
 	}))
 	defer ts.Close()
-	c := NewClient(ts.Client())
+	c := client.NewClient(ts.Client())
 	_, err := c.Resource(context.Background(), ts.URL+"/resource")
-	var se *StatusError
+	var se *client.StatusError
 	if !errors.As(err, &se) {
-		t.Fatalf("error is not a *StatusError: %v", err)
+		t.Fatalf("error is not a *client.StatusError: %v", err)
 	}
 	if se.StatusCode != http.StatusServiceUnavailable || !se.Temporary() {
 		t.Errorf("StatusError = %+v, want retryable 503", se)
@@ -167,7 +168,7 @@ func TestStatusErrorTemporary(t *testing.T) {
 		http.StatusRequestTimeout: true, http.StatusTooManyRequests: true,
 		http.StatusInternalServerError: true, http.StatusBadGateway: true,
 	} {
-		se := &StatusError{StatusCode: code}
+		se := &client.StatusError{StatusCode: code}
 		if se.Temporary() != want {
 			t.Errorf("Temporary(%d) = %v, want %v", code, !want, want)
 		}
@@ -179,8 +180,8 @@ func TestStatusErrorTemporary(t *testing.T) {
 func TestHTTPConnConcurrentUse(t *testing.T) {
 	ts, _ := startServer(t)
 	ctx := context.Background()
-	c := NewClient(ts.Client())
-	conn := NewHTTPConn(c, "S1", ts.URL+"/sources/S1/metadata")
+	c := client.NewClient(ts.Client())
+	conn := client.NewHTTPConn(c, "S1", ts.URL+"/sources/S1/metadata")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -205,16 +206,14 @@ func TestHTTPConnConcurrentUse(t *testing.T) {
 func TestHTTPConnMetadataExpiry(t *testing.T) {
 	ts, hits := startServer(t)
 	ctx := context.Background()
-	c := NewClient(ts.Client())
-	conn := NewHTTPConn(c, "S1", ts.URL+"/sources/S1/metadata")
+	c := client.NewClient(ts.Client())
+	conn := client.NewHTTPConn(c, "S1", ts.URL+"/sources/S1/metadata")
 	if _, err := conn.Metadata(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// Expire the cached copy by moving the conn's clock past DateExpires
-	// (the test server stamps none, so force one on the cached object).
-	conn.mu.Lock()
-	conn.cached.DateExpires = time.Now().Add(-time.Hour)
-	conn.mu.Unlock()
+	// Expire the cached copy (the test server stamps no DateExpires, so
+	// force one on the cached object).
+	client.ExpireCachedMetadata(conn, time.Now().Add(-time.Hour))
 	before := hits.Load()
 	if _, err := conn.Summary(ctx); err != nil {
 		t.Fatal(err)
@@ -231,7 +230,7 @@ func TestLocalConnWithoutResource(t *testing.T) {
 	if err := s.Add(&index.Document{Linkage: "http://l/1", Title: "t", Body: "words here"}); err != nil {
 		t.Fatal(err)
 	}
-	conn := NewLocalConn(s, nil)
+	conn := client.NewLocalConn(s, nil)
 	q := query.New()
 	q.Ranking, _ = query.ParseRanking(`list((body-of-text "words"))`)
 	// Naming extra sources without a resource falls back to the single

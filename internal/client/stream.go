@@ -21,9 +21,8 @@ import (
 // returns that error (the final answer, when already decoded, comes
 // with it).
 //
-// Capability assertion: like BatchConn, middlewares that wrap a
-// StreamConn should implement QueryStream themselves, or the chain
-// silently downgrades to buffered queries.
+// The Conn middlewares do not pass streaming through: a wrapped
+// StreamConn answers buffered queries (see Keep).
 type StreamConn interface {
 	Conn
 	// QueryStream evaluates q, delivering frames to sink as they arrive.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"sync"
 	"time"
 
@@ -197,31 +196,4 @@ func less(a, b gloss.Ranked) bool {
 		return a.Goodness > b.Goodness
 	}
 	return a.ID < b.ID
-}
-
-// AutoRefresh re-harvests expired source metadata every interval until the
-// context ends, implementing the paper's "extract metadata and content
-// summaries from the sources periodically". Harvest errors are sent on
-// the returned channel when someone is listening and dropped otherwise.
-func (m *Metasearcher) AutoRefresh(ctx context.Context, interval time.Duration) <-chan error {
-	errs := make(chan error, 1)
-	go func() {
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		defer close(errs)
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-				if err := m.Harvest(ctx); err != nil {
-					select {
-					case errs <- err:
-					default:
-					}
-				}
-			}
-		}
-	}()
-	return errs
 }

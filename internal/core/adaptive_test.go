@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"starts/internal/gloss"
-	"starts/internal/meta"
 	"starts/internal/query"
 )
 
@@ -105,42 +104,4 @@ func (f fixedSelector) Rank(_ *query.Query, sources []gloss.SourceInfo) []gloss.
 		out = append(out, gloss.Ranked{ID: si.ID, Goodness: f[si.ID]})
 	}
 	return out
-}
-
-func TestAutoRefresh(t *testing.T) {
-	clock := time.Date(1996, 6, 1, 0, 0, 0, 0, time.UTC)
-	ms := New(Options{Now: func() time.Time { return clock }})
-	conn := &expiringConn{failingConn{id: "E"}}
-	counting := &countingConn{Conn: conn}
-	ms.Add(counting)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	errs := ms.AutoRefresh(ctx, 5*time.Millisecond)
-	deadline := time.Now().Add(2 * time.Second)
-	for counting.metaCalls.Load() < 3 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := counting.metaCalls.Load(); got < 3 {
-		t.Errorf("auto refresh fetched metadata %d times", got)
-	}
-	cancel()
-	// Channel closes after cancellation.
-	select {
-	case <-errs:
-	case <-time.After(2 * time.Second):
-		t.Error("error channel not closed after cancel")
-	}
-}
-
-// expiringConn serves metadata that is always already expired, forcing a
-// refresh on every harvest.
-type expiringConn struct{ failingConn }
-
-func (e *expiringConn) Metadata(ctx context.Context) (*meta.SourceMeta, error) {
-	m, err := e.failingConn.Metadata(ctx)
-	if err != nil {
-		return nil, err
-	}
-	m.DateExpires = time.Date(1996, 1, 1, 0, 0, 0, 0, time.UTC)
-	return m, nil
 }

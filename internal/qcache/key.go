@@ -11,9 +11,9 @@
 // trips. qcache shields the sources the way ZBroker caches at the broker.
 //
 // qcache imports only the leaf object packages (query, result, meta,
-// source) and obs; like obs it declares its own structural copy of the
-// Conn interface, so core, client wrappers and servers all import qcache
-// and the dependency keeps pointing outward.
+// source), client (for the conn contract) and obs, so core, client
+// wrappers and servers all import qcache and the dependency keeps
+// pointing outward.
 package qcache
 
 import (

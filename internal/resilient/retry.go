@@ -150,6 +150,13 @@ func Retryable(err error) bool {
 }
 
 // Conn wraps a client.Conn with retries under a RetryPolicy.
+//
+// Over a batch-capable source, a batch's failed-but-retryable items are
+// re-sent as a smaller batch on the next attempt — the shrunken retry
+// still amortizes one round trip — while items that already succeeded
+// (or failed permanently) keep their outcome. The budget charges what
+// actually hits the wire: one deposit per fresh QueryBatch, one
+// withdrawal per retry wire call, regardless of how many items ride it.
 type Conn struct {
 	inner  client.Conn
 	policy RetryPolicy
@@ -162,11 +169,14 @@ type Conn struct {
 	sleep func(ctx context.Context, d time.Duration) error
 }
 
-var _ client.Conn = (*Conn)(nil)
+// Wrap returns a retrying wrapper around inner, batch-capable exactly
+// when inner is (client.Keep). budget may be nil (unlimited retries
+// within the policy) or shared across many conns.
+func Wrap(inner client.Conn, policy RetryPolicy, budget *Budget) client.Conn {
+	return client.Keep(inner, newConn(inner, policy, budget))
+}
 
-// Wrap returns a retrying wrapper around inner. budget may be nil
-// (unlimited retries within the policy) or shared across many conns.
-func Wrap(inner client.Conn, policy RetryPolicy, budget *Budget) *Conn {
+func newConn(inner client.Conn, policy RetryPolicy, budget *Budget) *Conn {
 	return &Conn{
 		inner:  inner,
 		policy: policy.withDefaults(),
@@ -196,11 +206,39 @@ func (c *Conn) jitter() float64 {
 	return c.rnd.Float64()
 }
 
+// pause is the step before retry number attempt (attempt >= 1): it
+// withdraws a budget token, waits out the jittered backoff, then counts
+// the retry in the context's metrics registry
+// (starts_retries_total{source}) and annotates the context's current
+// span with note — both no-ops on a bare context. A non-nil error says
+// why no retry follows; the caller appends the last attempt's error.
+func (c *Conn) pause(ctx context.Context, what string, attempt int, note string) error {
+	id := c.inner.SourceID()
+	if c.budget != nil && !c.budget.withdraw() {
+		return fmt.Errorf("resilient: %s of %s: %w", what, id, ErrBudgetExhausted)
+	}
+	delay := c.policy.backoff(attempt-1, c.jitter())
+	// Never sleep past a deadline that dooms the attempt: if the
+	// remaining context budget is spent by the backoff itself, the
+	// retry could only time out — fail fast with the last real error
+	// instead of burning the caller's budget in a sleep.
+	if deadline, ok := ctx.Deadline(); ok && time.Until(deadline) <= delay {
+		return fmt.Errorf("resilient: %s of %s: backoff %v exceeds remaining deadline: %w",
+			what, id, delay, context.DeadlineExceeded)
+	}
+	if err := c.sleep(ctx, delay); err != nil {
+		return fmt.Errorf("resilient: %s of %s interrupted during backoff: %w", what, id, err)
+	}
+	obs.MetricsFrom(ctx).Counter(obs.L("starts_retries_total", "source", id)).Inc()
+	obs.Annotate(ctx, "retry", note)
+	return nil
+}
+
 // retryDo runs f up to MaxAttempts times, backing off between tries.
 // Each retry is observable: the context's current span (the per-source
 // span core opened, when the call runs inside a traced search) gets a
 // "retry" annotation and the context's metrics registry counts
-// starts_retries_total{source} — both no-ops on a bare context.
+// starts_retries_total{source}.
 func retryDo[T any](c *Conn, ctx context.Context, what string, f func(context.Context) (T, error)) (T, error) {
 	var zero T
 	if c.budget != nil {
@@ -209,25 +247,10 @@ func retryDo[T any](c *Conn, ctx context.Context, what string, f func(context.Co
 	var last error
 	for attempt := 0; attempt < c.policy.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			if c.budget != nil && !c.budget.withdraw() {
-				return zero, fmt.Errorf("resilient: %s of %s: %w (last error: %w)",
-					what, c.inner.SourceID(), ErrBudgetExhausted, last)
+			note := fmt.Sprintf("%s attempt %d after: %v", what, attempt+1, last)
+			if err := c.pause(ctx, what, attempt, note); err != nil {
+				return zero, fmt.Errorf("%w (last error: %w)", err, last)
 			}
-			delay := c.policy.backoff(attempt-1, c.jitter())
-			// Never sleep past a deadline that dooms the attempt: if the
-			// remaining context budget is spent by the backoff itself, the
-			// retry could only time out — fail fast with the last real
-			// error instead of burning the caller's budget in a sleep.
-			if deadline, ok := ctx.Deadline(); ok && time.Until(deadline) <= delay {
-				return zero, fmt.Errorf("resilient: %s of %s: backoff %v exceeds remaining deadline: %w (last error: %w)",
-					what, c.inner.SourceID(), delay, context.DeadlineExceeded, last)
-			}
-			if err := c.sleep(ctx, delay); err != nil {
-				return zero, fmt.Errorf("resilient: %s of %s interrupted during backoff: %w (last error: %w)",
-					what, c.inner.SourceID(), err, last)
-			}
-			obs.MetricsFrom(ctx).Counter(obs.L("starts_retries_total", "source", c.inner.SourceID())).Inc()
-			obs.Annotate(ctx, "retry", fmt.Sprintf("%s attempt %d after: %v", what, attempt+1, last))
 		}
 		v, err := f(ctx)
 		if err == nil {
@@ -265,4 +288,61 @@ func (c *Conn) Query(ctx context.Context, q *query.Query) (*result.Results, erro
 	return retryDo(c, ctx, "query", func(ctx context.Context) (*result.Results, error) {
 		return c.inner.Query(ctx, q)
 	})
+}
+
+// QueryBatch implements client.BatchConn.
+func (c *Conn) QueryBatch(ctx context.Context, qs []*query.Query) ([]*result.Results, []error) {
+	results := make([]*result.Results, len(qs))
+	errs := make([]error, len(qs))
+	if c.budget != nil {
+		c.budget.deposit()
+	}
+	// pending maps the positions still unresolved into the original
+	// slices; each attempt re-sends exactly those.
+	pending := make([]int, len(qs))
+	pendQs := make([]*query.Query, len(qs))
+	for i, q := range qs {
+		pending[i], pendQs[i] = i, q
+	}
+	id := c.inner.SourceID()
+	failAll := func(idx []int, err error) {
+		for _, i := range idx {
+			errs[i] = err
+		}
+	}
+	for attempt := 0; attempt < c.policy.MaxAttempts; attempt++ {
+		if attempt > 0 {
+			note := fmt.Sprintf("query-batch attempt %d, %d items", attempt+1, len(pending))
+			if err := c.pause(ctx, "query-batch", attempt, note); err != nil {
+				for _, i := range pending {
+					errs[i] = fmt.Errorf("%w (last error: %w)", err, errs[i])
+				}
+				return results, errs
+			}
+		}
+		rs, es := c.inner.(client.BatchConn).QueryBatch(ctx, pendQs)
+		if len(rs) != len(pendQs) || len(es) != len(pendQs) {
+			failAll(pending, fmt.Errorf("resilient: query-batch of %s: inner returned %d results, %d errors for %d queries",
+				id, len(rs), len(es), len(pendQs)))
+			return results, errs
+		}
+		var nextIdx []int
+		var nextQs []*query.Query
+		for j, i := range pending {
+			results[i], errs[i] = rs[j], es[j]
+			if es[j] != nil && Retryable(es[j]) && ctx.Err() == nil {
+				nextIdx = append(nextIdx, i)
+				nextQs = append(nextQs, pendQs[j])
+			}
+		}
+		if len(nextIdx) == 0 {
+			return results, errs
+		}
+		pending, pendQs = nextIdx, nextQs
+	}
+	for _, i := range pending {
+		errs[i] = fmt.Errorf("resilient: query-batch of %s failed after %d attempts: %w",
+			id, c.policy.MaxAttempts, errs[i])
+	}
+	return results, errs
 }

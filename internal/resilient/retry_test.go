@@ -64,7 +64,7 @@ func (f *flakyConn) Query(context.Context, *query.Query) (*result.Results, error
 // fastWrap returns a retrying conn whose backoff sleeps are recorded, not
 // slept.
 func fastWrap(inner client.Conn, p RetryPolicy, b *Budget) (*Conn, *[]time.Duration) {
-	c := Wrap(inner, p, b)
+	c := newConn(inner, p, b)
 	var slept []time.Duration
 	c.sleep = func(ctx context.Context, d time.Duration) error {
 		slept = append(slept, d)

@@ -1,48 +1,17 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 
+	"starts/internal/client"
 	"starts/internal/meta"
 	"starts/internal/query"
 	"starts/internal/result"
 	"starts/internal/soif"
-	"starts/internal/source"
 )
-
-// BrokerConn is the method set ConnServer needs from a source
-// connection — structurally identical to client.Conn (which satisfies
-// it), declared here so serving a conn does not make the server package
-// depend on the client package.
-type BrokerConn interface {
-	SourceID() string
-	Metadata(ctx context.Context) (*meta.SourceMeta, error)
-	Summary(ctx context.Context) (*meta.ContentSummary, error)
-	Sample(ctx context.Context) ([]*source.SampleEntry, error)
-	Query(ctx context.Context, q *query.Query) (*result.Results, error)
-}
-
-// brokerBatchConn mirrors client.BatchConn: a BrokerConn that takes a
-// whole batch in one call.
-type brokerBatchConn interface {
-	BrokerConn
-	QueryBatch(ctx context.Context, qs []*query.Query) ([]*result.Results, []error)
-}
-
-// streamBrokerConn mirrors client.StreamConn: a BrokerConn that can
-// deliver an answer incrementally (core.Broker can — its metasearcher
-// streams rank-stable prefixes as sources complete). A ?stream=1 query
-// against a plain BrokerConn still gets stream framing, just with
-// everything in the terminal frame.
-type streamBrokerConn interface {
-	BrokerConn
-	QueryStream(ctx context.Context, q *query.Query, sink func(result.StreamItem) error) (*result.Results, error)
-}
 
 // ConnServer serves any client.Conn as a one-source STARTS resource
 // over HTTP — the publishing half of a broker hierarchy. A regional
@@ -64,14 +33,14 @@ type streamBrokerConn interface {
 //	     run through the Conn concurrently (one wire call per item on a
 //	     plain Conn, one batch call on a client.BatchConn)
 type ConnServer struct {
-	conn    BrokerConn
+	conn    client.Conn
 	baseURL string
 	mux     *http.ServeMux
 }
 
 // NewConnServer serves conn at baseURL (scheme://host[:port], no
 // trailing slash — stamped into the exported metadata's linkage URLs).
-func NewConnServer(conn BrokerConn, baseURL string) *ConnServer {
+func NewConnServer(conn client.Conn, baseURL string) *ConnServer {
 	cs := &ConnServer{conn: conn, baseURL: strings.TrimSuffix(baseURL, "/"), mux: http.NewServeMux()}
 	cs.mux.HandleFunc("GET /resource", cs.handleResource)
 	cs.mux.HandleFunc("GET /sources/{id}/metadata", cs.withSource(cs.handleMetadata))
@@ -223,7 +192,7 @@ func (cs *ConnServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 // frames itself (each flushed as it stabilizes); a plain Conn yields a
 // single terminal frame once its merge completes.
 func (cs *ConnServer) streamQuery(w http.ResponseWriter, enc *soif.Encoder, r *http.Request, q *query.Query) {
-	sc, ok := cs.conn.(streamBrokerConn)
+	sc, ok := cs.conn.(client.StreamConn)
 	if !ok {
 		rr, err := cs.conn.Query(r.Context(), q)
 		if err != nil {
@@ -271,20 +240,10 @@ func (cs *ConnServer) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		results []*result.Results
 		errs    []error
 	)
-	if bc, ok := cs.conn.(brokerBatchConn); ok {
+	if bc, ok := cs.conn.(client.BatchConn); ok {
 		results, errs = bc.QueryBatch(r.Context(), qs)
 	} else {
-		results = make([]*result.Results, len(qs))
-		errs = make([]error, len(qs))
-		var wg sync.WaitGroup
-		for i, q := range qs {
-			wg.Add(1)
-			go func(i int, q *query.Query) {
-				defer wg.Done()
-				results[i], errs[i] = cs.conn.Query(r.Context(), q)
-			}(i, q)
-		}
-		wg.Wait()
+		results, errs = client.QueryEach(r.Context(), cs.conn, qs)
 	}
 	w.Header().Set("Content-Type", ContentType)
 	w.WriteHeader(http.StatusOK)

@@ -237,7 +237,7 @@ func TestConnServerInBandError(t *testing.T) {
 // Conn cannot stream still answers with legal stream framing — one
 // terminal frame.
 func TestConnServerStreamPlainConn(t *testing.T) {
-	// BrokerConn without QueryStream: wrap a LocalConn so the StreamConn
+	// A Conn without QueryStream: wrap a LocalConn so the StreamConn
 	// capability is hidden.
 	src := mkStreamSource(t, "S", []*index.Document{
 		{Linkage: "http://s/1", Title: "doc", Body: "metasearch words", Date: time.Date(1996, 1, 1, 0, 0, 0, 0, time.UTC)},

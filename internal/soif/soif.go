@@ -319,12 +319,38 @@ func (d *Decoder) Decode() (*Object, error) {
 				return nil, err
 			}
 		}
-		val := make([]byte, n)
-		if _, err := io.ReadFull(d.r, val); err != nil {
+		val, err := readValue(d.r, n)
+		if err != nil {
 			return nil, fmt.Errorf("soif: value of %s in @%s truncated (want %d bytes): %w", name, o.Type, n, err)
 		}
-		o.Add(name, string(val))
+		o.Add(name, val)
 	}
+}
+
+// valueChunk caps what readValue allocates before a value's bytes arrive.
+const valueChunk = 64 << 10
+
+// readValue reads an attribute value of declared length n. The length is
+// the sender's claim, not a fact: a value up to valueChunk bytes gets one
+// exact allocation, and a longer one grows only as its bytes actually
+// arrive, so a false length costs at most what the stream really carries.
+func readValue(r io.Reader, n int) (string, error) {
+	if n <= valueChunk {
+		val := make([]byte, n)
+		if _, err := io.ReadFull(r, val); err != nil {
+			return "", err
+		}
+		return string(val), nil
+	}
+	var sb strings.Builder
+	sb.Grow(valueChunk)
+	if _, err := io.CopyN(&sb, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return "", err
+	}
+	return sb.String(), nil
 }
 
 // peekNonSpace skips whitespace and returns the next byte without consuming

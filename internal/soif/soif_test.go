@@ -132,6 +132,29 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeDeclaredLengthNotTrusted: a declared value length is only
+// allocated as its bytes arrive. A terabyte claim over a three-byte
+// stream is a truncation error, not an out-of-memory crash, and a value
+// longer than the up-front chunk still decodes exactly.
+func TestDecodeDeclaredLengthNotTrusted(t *testing.T) {
+	_, err := Unmarshal([]byte("@SQuery{\nVersion{1099511627776}: x\n}"))
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("Unmarshal(terabyte claim) error = %v, want io.ErrUnexpectedEOF", err)
+	}
+	big := strings.Repeat("0123456789", 3*valueChunk/10+7)
+	data, err := Marshal(New("SQuery").Add("Body", big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := o.Get("Body"); got != big {
+		t.Errorf("decoded %d-byte value, want %d bytes", len(got), len(big))
+	}
+}
+
 func TestUnmarshalRejectsTrailingObject(t *testing.T) {
 	in := "@A{\n}\n@B{\n}\n"
 	if _, err := Unmarshal([]byte(in)); err == nil {

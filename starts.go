@@ -128,7 +128,8 @@ type (
 	// multiplexing: the metasearcher's dispatch layer drains a source's
 	// queued sub-queries and issues them as a single round trip when the
 	// source's conn supports it. NewHTTPConn and NewLocalConn both return
-	// batch-capable conns; assert with ChainBatchConn after wrapping.
+	// batch-capable conns, and every middleware keeps the capability of
+	// the conn it wraps.
 	BatchConn = client.BatchConn
 )
 
@@ -508,13 +509,6 @@ func MetricLabel(name string, kv ...string) string { return obs.L(name, kv...) }
 // the context's current span and counted into reg.
 func WrapConn(c Conn, reg *MetricsRegistry) Conn { return obs.WrapConn(c, reg) }
 
-// The client.Conn and obs.SourceConn interfaces are structurally
-// identical; these assertions pin that equivalence.
-var (
-	_ obs.SourceConn = Conn(nil)
-	_ Conn           = obs.SourceConn(nil)
-)
-
 // Resilience.
 type (
 	// RetryPolicy configures exponential backoff with jitter for a
@@ -540,9 +534,6 @@ type (
 // NewRetryConn wraps a Conn with retries; budget may be nil or shared.
 // A batch-capable conn stays batch-capable.
 func NewRetryConn(c Conn, p RetryPolicy, budget *RetryBudget) Conn {
-	if bc, ok := c.(BatchConn); ok {
-		return resilient.WrapBatch(bc, p, budget)
-	}
 	return resilient.Wrap(c, p, budget)
 }
 
@@ -573,31 +564,19 @@ type ConnMiddleware = client.Middleware
 //
 // Nil middlewares are skipped.
 //
-// Capability rule: every middleware this package exports is
-// batch-transparent — wrapping a BatchConn yields a BatchConn — so a
-// chain over a batch-capable transport keeps its QueryBatch seam from
-// leaf to outermost wrapper. A custom middleware that returns a plain
-// Conn silently downgrades the chain to one wire call per query; use
-// ChainBatchConn to detect that.
+// Capability rule: every middleware this package exports keeps the
+// batch capability of the conn it wraps — wrapping a BatchConn yields a
+// BatchConn, wrapping a plain Conn yields a plain Conn — so a chain over
+// a batch-capable transport keeps its QueryBatch seam from leaf to
+// outermost wrapper. A custom middleware that returns a plain Conn
+// downgrades the chain to one wire call per query.
 func ChainConn(conn Conn, mw ...ConnMiddleware) Conn { return client.Chain(conn, mw...) }
-
-// ChainBatchConn is ChainConn plus a capability report: ok is true when
-// the fully wrapped conn still implements BatchConn, i.e. no middleware
-// in the chain dropped the batch seam.
-func ChainBatchConn(conn Conn, mw ...ConnMiddleware) (Conn, bool) {
-	return client.ChainBatch(conn, mw...)
-}
 
 // RetryMiddleware is NewRetryConn as a ConnMiddleware. A batch-capable
 // conn stays batch-capable: failed-but-retryable batch items are re-sent
 // as a smaller batch on the next attempt.
 func RetryMiddleware(p RetryPolicy, budget *RetryBudget) ConnMiddleware {
-	return func(c Conn) Conn {
-		if bc, ok := c.(BatchConn); ok {
-			return resilient.WrapBatch(bc, p, budget)
-		}
-		return resilient.Wrap(c, p, budget)
-	}
+	return func(c Conn) Conn { return resilient.Wrap(c, p, budget) }
 }
 
 // FaultyMiddleware is NewFaultyConn as a ConnMiddleware. A batch-capable
