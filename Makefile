@@ -3,7 +3,7 @@
 GO      ?= go
 BINDIR  ?= /tmp/starts-bin
 
-.PHONY: build test vet race lint bench bench-dispatch bench-wire bench-peer bench-engine bench-load bench-load-smoke bench-selftest warm soak tier1 tier2 check cli clean
+.PHONY: build test vet race lint bench bench-dispatch bench-wire bench-peer bench-engine bench-load bench-load-smoke bench-selftest fuzz-smoke warm soak tier1 tier2 check cli clean
 
 build:
 	$(GO) build ./...
@@ -91,6 +91,19 @@ bench-load-smoke:
 # change that breaks the benchmark before the benchmark itself is run.
 bench-selftest:
 	cd perfbench && GOWORK=off GOFLAGS=-mod=mod $(GO) vet . && GOWORK=off GOFLAGS=-mod=mod $(GO) test ./...
+
+# fuzz-smoke runs every native fuzz target (func Fuzz* in a package of
+# this module) for 10s each: long enough to catch a parser, renderer or
+# decoder regression on fresh inputs, short enough for CI. go test -fuzz
+# takes one target per run, hence the loop; a failing input is saved
+# under the package's testdata/fuzz for replay by plain go test.
+fuzz-smoke:
+	@set -e; for dir in $$($(GO) list -f '{{.Dir}}' ./...); do \
+		for target in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$dir/*_test.go 2>/dev/null); do \
+			echo "fuzz $$target in $$dir"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s $$dir; \
+		done; \
+	done
 
 # soak runs the long-haul resilience scenarios (breaker lifecycle, fault
 # injection, adaptive-admission overload) under the race detector.

@@ -12,10 +12,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"starts/internal/adaptive"
@@ -107,6 +109,11 @@ type Metasearcher struct {
 	conns   map[string]client.Conn
 	order   []string
 	entries map[string]*entry
+	// sourceSet is the sorted, comma-joined registered source IDs, the
+	// tail of every cache-key scope; Add rebuilds it.
+	sourceSet string
+	// scope memoizes the last cache-key scope built (see searchScope).
+	scope atomic.Pointer[keyScope]
 
 	stats      *statsBook
 	metrics    *obs.Registry
@@ -243,6 +250,9 @@ func (m *Metasearcher) Add(c client.Conn) {
 	id := c.SourceID()
 	if _, known := m.conns[id]; !known {
 		m.order = append(m.order, id)
+		ids := slices.Clone(m.order)
+		slices.Sort(ids)
+		m.sourceSet = strings.Join(ids, ",")
 	}
 	m.conns[id] = c
 	delete(m.entries, id)
@@ -519,7 +529,7 @@ func (m *Metasearcher) searchStream(ctx context.Context, q *query.Query, sink St
 	if tr == nil {
 		tr = &obs.Trace{}
 	}
-	tr.Begin(describeQuery(q))
+	tr.BeginLazy(queryDescription{q})
 	defer tr.Finish()
 	ctx = obs.WithTrace(obs.WithMetrics(ctx, m.metrics), tr)
 	m.metrics.Counter("starts_searches_total").Inc()
@@ -637,10 +647,15 @@ func (m *Metasearcher) answerTTL(ans *Answer, opts Options) time.Duration {
 
 // recordWorkload notes one cache-fronted query in the warm-start
 // workload: its fingerprint plus the Basic-1 text needed to replay it.
-// Queries whose expressions do not round-trip through the parser (some
+// A key already recorded only has its recency refreshed, so the query
+// text is printed once per distinct key, not once per serve. Queries
+// whose expressions do not round-trip through the parser (some
 // multi-value ranking terms) are still recorded; Warm skips them with an
 // error count instead of failing the replay.
 func (m *Metasearcher) recordWorkload(key string, q *query.Query) {
+	if m.workload.Touch(key) {
+		return
+	}
 	e := qcache.WarmEntry{Key: key, MaxResults: q.MaxResults}
 	if q.Filter != nil {
 		e.Filter = q.Filter.String()
@@ -723,17 +738,43 @@ func warmQuery(e qcache.WarmEntry) (*query.Query, error) {
 
 // cacheKey fingerprints a query together with everything outside it that
 // shapes the answer: the selection and merge strategies, the source cap,
-// verification mode, and the registered source set. Re-registering
-// sources therefore implicitly invalidates all merged-answer entries.
+// verification mode, and the registered source set. Registering a new
+// source therefore implicitly invalidates all merged-answer entries.
 func (m *Metasearcher) cacheKey(q *query.Query, opts Options) string {
+	return qcache.Keyer{Scope: m.searchScope(opts)}.Key(q)
+}
+
+// keyScope is one cache-key scope together with the configuration it
+// was built from.
+type keyScope struct {
+	selector, merger string
+	maxSources       int
+	postFilter       bool
+	sources          string
+	scope            string
+}
+
+// searchScope returns the cache-key scope for opts over the registered
+// source set. The last scope built is reused while the configuration and
+// the source set are unchanged, which is every search of a metasearcher
+// whose callers do not override the selector, merger, source cap or
+// verification mode per query.
+func (m *Metasearcher) searchScope(opts Options) string {
+	sel, mer := opts.Selector.Name(), opts.Merger.Name()
 	m.mu.RLock()
-	ids := append([]string(nil), m.order...)
+	sources := m.sourceSet
 	m.mu.RUnlock()
-	sort.Strings(ids)
-	scope := fmt.Sprintf("search/%s/%s/%d/%t/%s",
-		opts.Selector.Name(), opts.Merger.Name(), opts.MaxSources, opts.PostFilter,
-		strings.Join(ids, ","))
-	return qcache.Keyer{Scope: scope}.Key(q)
+	if ks := m.scope.Load(); ks != nil && ks.sources == sources && ks.selector == sel &&
+		ks.merger == mer && ks.maxSources == opts.MaxSources && ks.postFilter == opts.PostFilter {
+		return ks.scope
+	}
+	ks := &keyScope{
+		selector: sel, merger: mer, maxSources: opts.MaxSources, postFilter: opts.PostFilter, sources: sources,
+		scope: "search/" + sel + "/" + mer + "/" + strconv.Itoa(opts.MaxSources) + "/" +
+			strconv.FormatBool(opts.PostFilter) + "/" + sources,
+	}
+	m.scope.Store(ks)
+	return ks.scope
 }
 
 // cachedCopy prepares one cached answer for one serve: a shallow copy
@@ -950,16 +991,28 @@ func (m *Metasearcher) run(ctx context.Context, q *query.Query, opts Options, em
 
 // describeQuery renders a query compactly for traces and debug pages.
 func describeQuery(q *query.Query) string {
-	switch {
-	case q.Filter != nil && q.Ranking != nil:
-		return fmt.Sprintf("filter %v ranking %v", q.Filter, q.Ranking)
-	case q.Filter != nil:
-		return fmt.Sprintf("filter %v", q.Filter)
-	case q.Ranking != nil:
-		return fmt.Sprintf("ranking %v", q.Ranking)
+	if q.Filter == nil && q.Ranking == nil {
+		return "(empty)"
 	}
-	return "(empty)"
+	var b []byte
+	if q.Filter != nil {
+		b = query.AppendExpr(append(b, "filter "...), q.Filter)
+	}
+	if q.Ranking != nil {
+		if q.Filter != nil {
+			b = append(b, ' ')
+		}
+		b = query.AppendExpr(append(b, "ranking "...), q.Ranking)
+	}
+	return string(b)
 }
+
+// queryDescription defers describeQuery until a trace is snapshotted.
+// Being a single pointer, it converts to fmt.Stringer without
+// allocating.
+type queryDescription struct{ q *query.Query }
+
+func (d queryDescription) String() string { return describeQuery(d.q) }
 
 // joinSorted aggregates per-source errors deterministically, sorted by
 // source ID.

@@ -29,11 +29,17 @@ func LIn(tag Tag, text string) LString { return LString{Tag: tag, Text: text} }
 // String renders the l-string in canonical query syntax: a double-quoted,
 // backslash-escaped string, wrapped in [tag ...] when language-qualified.
 func (l LString) String() string {
-	q := Quote(l.Text)
+	var buf [64]byte
+	return string(l.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the l-string's String form to dst.
+func (l LString) AppendTo(dst []byte) []byte {
 	if l.Tag.IsZero() {
-		return q
+		return AppendQuote(dst, l.Text)
 	}
-	return "[" + l.Tag.String() + " " + q + "]"
+	dst = append(l.Tag.AppendTo(append(dst, '[')), ' ')
+	return append(AppendQuote(dst, l.Text), ']')
 }
 
 // Resolve returns the l-string's tag, or def when unqualified.
@@ -45,20 +51,31 @@ func (l LString) Resolve(def Tag) Tag {
 }
 
 // Quote renders s as a double-quoted string with backslash escapes for the
-// quote and backslash characters. All other bytes, including non-ASCII
-// UTF-8, pass through verbatim.
+// quote and backslash characters. All other valid UTF-8, including
+// non-ASCII, passes through verbatim; each byte that is not valid UTF-8
+// prints as U+FFFD, the rune that ranging over s decodes it to.
 func Quote(s string) string {
-	var b strings.Builder
-	b.Grow(len(s) + 2)
-	b.WriteByte('"')
-	for _, r := range s {
-		if r == '"' || r == '\\' {
-			b.WriteByte('\\')
+	var buf [64]byte
+	return string(AppendQuote(buf[:0], s))
+}
+
+// AppendQuote appends Quote(s) to dst.
+func AppendQuote(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c == '"' || c == '\\' {
+				dst = append(dst, '\\')
+			}
+			dst = append(dst, c)
+			i++
+			continue
 		}
-		b.WriteRune(r)
+		r, size := utf8.DecodeRuneInString(s[i:])
+		dst = utf8.AppendRune(dst, r)
+		i += size
 	}
-	b.WriteByte('"')
-	return b.String()
+	return append(dst, '"')
 }
 
 // ParseLString parses a complete l-string and rejects trailing input.

@@ -85,6 +85,18 @@ func (t Tag) String() string {
 	return t.Language + "-" + t.Country
 }
 
+// AppendTo appends the tag's String form to dst.
+func (t Tag) AppendTo(dst []byte) []byte {
+	if t.Language == "" {
+		return dst
+	}
+	dst = append(dst, t.Language...)
+	if t.Country != "" {
+		dst = append(append(dst, '-'), t.Country...)
+	}
+	return dst
+}
+
 // Matches reports whether t satisfies a request for want. A request for a
 // bare language ("en") is satisfied by any dialect of it ("en-US", "en-GB");
 // a request with a country is satisfied only by an exact match. The zero

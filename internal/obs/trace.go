@@ -32,9 +32,12 @@ import (
 type Trace struct {
 	mu    sync.Mutex
 	query string
-	start time.Time
-	dur   time.Duration
-	spans []*Span
+	// describe, when set, renders query on the first Snapshot: a search
+	// nobody inspects never prints its query.
+	describe fmt.Stringer
+	start    time.Time
+	dur      time.Duration
+	spans    []*Span
 }
 
 // NewTrace returns a started trace for the given query description.
@@ -48,12 +51,25 @@ func NewTrace(query string) *Trace {
 // the start time and drops any prior spans, so a caller-owned Trace can
 // be reused across searches.
 func (t *Trace) Begin(query string) {
+	t.begin(query, nil)
+}
+
+// BeginLazy is Begin with a description that is rendered only when the
+// trace is first snapshotted, and at most once; the hot path of a search
+// whose trace nobody reads then never prints its query. describe must
+// render the same text whenever it is called.
+func (t *Trace) BeginLazy(describe fmt.Stringer) {
+	t.begin("", describe)
+}
+
+func (t *Trace) begin(query string, describe fmt.Stringer) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.query = query
+	t.describe = describe
 	t.start = time.Now()
 	t.dur = 0
 	t.spans = nil
@@ -192,6 +208,9 @@ func (t *Trace) Snapshot() TraceInfo {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.describe != nil {
+		t.query, t.describe = t.describe.String(), nil
+	}
 	ti := TraceInfo{Query: t.query, Start: t.start, Duration: t.dur}
 	ti.Spans = snapshotSpans(t.spans)
 	return ti

@@ -151,3 +151,40 @@ func TestContextCarriers(t *testing.T) {
 	// Annotating a bare context must not panic.
 	Annotate(context.Background(), "k", "v")
 }
+
+// countingStringer counts how often a lazy trace description is
+// rendered.
+type countingStringer struct {
+	text  string
+	calls *int
+}
+
+func (c countingStringer) String() string {
+	*c.calls++
+	return c.text
+}
+
+// TestBeginLazyRendersOnce: a lazily described trace renders its query
+// on the first snapshot only, and a later Begin replaces it.
+func TestBeginLazyRendersOnce(t *testing.T) {
+	calls := 0
+	var tr Trace
+	tr.BeginLazy(countingStringer{"filter (title \"a\")", &calls})
+	tr.StartSpan("cache").End(nil)
+	tr.Finish()
+	if calls != 0 {
+		t.Fatalf("description rendered %d times before any snapshot", calls)
+	}
+	for i := 0; i < 3; i++ {
+		if got := tr.Snapshot().Query; got != `filter (title "a")` {
+			t.Fatalf("Query = %q", got)
+		}
+	}
+	if calls != 1 {
+		t.Errorf("description rendered %d times over three snapshots, want 1", calls)
+	}
+	tr.Begin("plain")
+	if got := tr.Snapshot().Query; got != "plain" || calls != 1 {
+		t.Errorf("after Begin: Query = %q, renders = %d", got, calls)
+	}
+}

@@ -2,6 +2,7 @@ package qcache
 
 import (
 	"bufio"
+	"container/list"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -83,12 +84,12 @@ func LoadWorkloadFile(path string) ([]WarmEntry, error) {
 // deduplicated by Key, so a long-running metasearcher always has a
 // replayable warm-start workload of its hot queries on hand. The zero
 // Recorder is not usable; NewRecorder returns one. Safe for concurrent
-// use.
+// use; Record and Touch are O(1).
 type Recorder struct {
 	mu    sync.Mutex
 	max   int
-	order []string // keys, least recently recorded first
-	byKey map[string]WarmEntry
+	order *list.List // of WarmEntry, least recently recorded first
+	byKey map[string]*list.Element
 }
 
 // DefaultRecorderSize bounds a NewRecorder(0) recorder.
@@ -100,7 +101,7 @@ func NewRecorder(max int) *Recorder {
 	if max <= 0 {
 		max = DefaultRecorderSize
 	}
-	return &Recorder{max: max, byKey: map[string]WarmEntry{}}
+	return &Recorder{max: max, order: list.New(), byKey: map[string]*list.Element{}}
 }
 
 // Record notes one served query. Re-recording a key refreshes its entry
@@ -112,20 +113,32 @@ func (r *Recorder) Record(e WarmEntry) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, known := r.byKey[e.Key]; known {
-		for i, k := range r.order {
-			if k == e.Key {
-				r.order = append(r.order[:i], r.order[i+1:]...)
-				break
-			}
-		}
+	if el, known := r.byKey[e.Key]; known {
+		el.Value = e
+		r.order.MoveToBack(el)
+		return
 	}
-	r.byKey[e.Key] = e
-	r.order = append(r.order, e.Key)
-	for len(r.order) > r.max {
-		delete(r.byKey, r.order[0])
-		r.order = r.order[1:]
+	r.byKey[e.Key] = r.order.PushBack(e)
+	for r.order.Len() > r.max {
+		oldest := r.order.Front()
+		delete(r.byKey, r.order.Remove(oldest).(WarmEntry).Key)
 	}
+}
+
+// Touch refreshes the recency of an already recorded key, keeping its
+// entry, and reports whether the key was known. A caller serving a hot
+// query touches first and builds the entry's text only for a new key.
+func (r *Recorder) Touch(key string) bool {
+	if r == nil {
+		return false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	el, known := r.byKey[key]
+	if known {
+		r.order.MoveToBack(el)
+	}
+	return known
 }
 
 // Entries lists the recorded workload, least recently recorded first.
@@ -135,9 +148,9 @@ func (r *Recorder) Entries() []WarmEntry {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]WarmEntry, 0, len(r.order))
-	for _, k := range r.order {
-		out = append(out, r.byKey[k])
+	out := make([]WarmEntry, 0, r.order.Len())
+	for el := r.order.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(WarmEntry))
 	}
 	return out
 }
@@ -149,7 +162,7 @@ func (r *Recorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.order)
+	return r.order.Len()
 }
 
 // WarmStats reports one Warm run.

@@ -78,6 +78,31 @@ func TestRecorderDedupAndBound(t *testing.T) {
 	}
 }
 
+// TestRecorderTouch: Touch refreshes a known key's recency without
+// replacing its entry, and records nothing for an unknown key.
+func TestRecorderTouch(t *testing.T) {
+	r := NewRecorder(2)
+	if r.Touch("a") {
+		t.Fatal("Touch reported an unrecorded key as known")
+	}
+	if r.Len() != 0 {
+		t.Fatalf("Touch of an unknown key recorded it: Len = %d", r.Len())
+	}
+	r.Record(WarmEntry{Key: "a", Filter: "first"})
+	r.Record(WarmEntry{Key: "b"})
+	if !r.Touch("a") {
+		t.Fatal("Touch did not find a recorded key")
+	}
+	r.Record(WarmEntry{Key: "c"}) // evicts b, the least recently touched
+	es := r.Entries()
+	if len(es) != 2 || es[0].Key != "a" || es[1].Key != "c" {
+		t.Fatalf("entries = %+v, want a then c", es)
+	}
+	if es[0].Filter != "first" {
+		t.Errorf("Touch replaced the entry: %+v", es[0])
+	}
+}
+
 func TestWarmReplaysDedupesAndSkipsFresh(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := New(Config{TTL: time.Hour, Metrics: reg})

@@ -8,7 +8,7 @@ package query
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"starts/internal/attr"
 	"starts/internal/lang"
@@ -78,26 +78,33 @@ func (t Term) bare() bool {
 
 // String renders the term in query syntax.
 func (t Term) String() string {
-	if t.bare() {
-		return t.Value.String()
-	}
-	var parts []string
-	if t.Field != "" {
-		parts = append(parts, string(attr.Normalize(t.Field)))
-	}
-	for _, m := range t.Mods {
-		parts = append(parts, m.String())
-	}
-	parts = append(parts, t.Value.String())
-	if t.Weight != 0 {
-		parts = append(parts, trimFloat(t.Weight))
-	}
-	return "(" + strings.Join(parts, " ") + ")"
+	var buf [64]byte
+	return string(t.appendTo(buf[:0]))
 }
 
+// appendTo appends the term's String form to dst.
+func (t Term) appendTo(dst []byte) []byte {
+	if t.bare() {
+		return t.Value.AppendTo(dst)
+	}
+	dst = append(dst, '(')
+	if t.Field != "" {
+		dst = append(append(dst, attr.Normalize(t.Field)...), ' ')
+	}
+	for _, m := range t.Mods {
+		dst = append(append(dst, m.String()...), ' ')
+	}
+	dst = t.Value.AppendTo(dst)
+	if t.Weight != 0 {
+		dst = strconv.AppendFloat(append(dst, ' '), t.Weight, 'g', -1, 64)
+	}
+	return append(dst, ')')
+}
+
+// trimFloat prints f as %g does: the shortest representation that
+// round-trips.
 func trimFloat(f float64) string {
-	s := fmt.Sprintf("%g", f)
-	return s
+	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
 // Op is a Boolean(-like) operator combining query expressions.
@@ -139,9 +146,7 @@ type Bin struct {
 }
 
 // String implements Expr.
-func (b *Bin) String() string {
-	return "(" + b.L.String() + " " + string(b.Op) + " " + b.R.String() + ")"
-}
+func (b *Bin) String() string { return exprString(b) }
 
 // Terms implements Expr.
 func (b *Bin) Terms(dst []Term) []Term { return b.R.Terms(b.L.Terms(dst)) }
@@ -157,13 +162,7 @@ type Prox struct {
 }
 
 // String implements Expr.
-func (p *Prox) String() string {
-	o := "F"
-	if p.Ordered {
-		o = "T"
-	}
-	return fmt.Sprintf("(%s prox[%d,%s] %s)", p.L, p.Dist, o, p.R)
-}
+func (p *Prox) String() string { return exprString(p) }
 
 // Terms implements Expr.
 func (p *Prox) Terms(dst []Term) []Term { return p.R.Terms(p.L.Terms(dst)) }
@@ -178,13 +177,7 @@ type List struct {
 }
 
 // String implements Expr.
-func (l *List) String() string {
-	parts := make([]string, len(l.Items))
-	for i, it := range l.Items {
-		parts[i] = it.String()
-	}
-	return "list(" + strings.Join(parts, " ") + ")"
-}
+func (l *List) String() string { return exprString(l) }
 
 // Terms implements Expr.
 func (l *List) Terms(dst []Term) []Term {
@@ -192,6 +185,45 @@ func (l *List) Terms(dst []Term) []Term {
 		dst = it.Terms(dst)
 	}
 	return dst
+}
+
+// AppendExpr appends e's String form to dst in one pass over the tree.
+// Expression types from outside this package print through their own
+// String method.
+func AppendExpr(dst []byte, e Expr) []byte {
+	switch n := e.(type) {
+	case *TermExpr:
+		return n.appendTo(dst)
+	case *Bin:
+		dst = append(AppendExpr(append(dst, '('), n.L), ' ')
+		dst = append(append(dst, n.Op...), ' ')
+		return append(AppendExpr(dst, n.R), ')')
+	case *Prox:
+		dst = append(n.L.appendTo(append(dst, '(')), " prox["...)
+		dst = append(strconv.AppendInt(dst, int64(n.Dist), 10), ',')
+		if n.Ordered {
+			dst = append(dst, 'T')
+		} else {
+			dst = append(dst, 'F')
+		}
+		return append(n.R.appendTo(append(dst, "] "...)), ')')
+	case *List:
+		dst = append(dst, "list("...)
+		for i, it := range n.Items {
+			if i > 0 {
+				dst = append(dst, ' ')
+			}
+			dst = AppendExpr(dst, it)
+		}
+		return append(dst, ')')
+	default:
+		return append(dst, e.String()...)
+	}
+}
+
+func exprString(e Expr) string {
+	var buf [128]byte
+	return string(AppendExpr(buf[:0], e))
 }
 
 // ValidateFilter checks that expr is a legal Basic-1 filter expression: no

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -81,10 +82,33 @@ func parseExprString(src string) (Expr, error) {
 	return expr, nil
 }
 
+// MaxDepth bounds how deeply parentheses and list() may nest in one
+// expression. It is far beyond any real query; past it the parser fails
+// fast with ErrTooDeep instead of building a tree that every recursive
+// walker (translation, canonical keys, evaluation) would re-traverse.
+const MaxDepth = 256
+
+// ErrTooDeep reports an expression nested deeper than MaxDepth. Parse
+// errors wrap it, so test with errors.Is.
+var ErrTooDeep = errors.New("query: expression nested too deeply")
+
 type parser struct {
-	src string
-	pos int
+	src   string
+	pos   int
+	depth int // open parens and lists around the cursor
 }
+
+// enter descends one nesting level, failing past MaxDepth; the caller
+// undoes it with leave once the nested construct is parsed.
+func (p *parser) enter() error {
+	p.depth++
+	if p.depth > MaxDepth {
+		return fmt.Errorf("%w: more than %d levels at offset %d", ErrTooDeep, MaxDepth, p.pos)
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 func (p *parser) rest() string { return p.src[p.pos:] }
 func (p *parser) eof() bool    { return p.pos >= len(p.src) }
@@ -148,6 +172,10 @@ func (p *parser) parseParen() (Expr, error) {
 	if err := p.expect('('); err != nil {
 		return nil, err
 	}
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	p.skipSpace()
 	c := p.peek()
 	if isTermLead(c) && !strings.EqualFold(p.peekWord(), "list") {
@@ -262,6 +290,10 @@ func (p *parser) parseList() (Expr, error) {
 	if err := p.expect('('); err != nil {
 		return nil, err
 	}
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	l := &List{}
 	for {
 		p.skipSpace()
@@ -394,6 +426,20 @@ func (p *parser) scanNumber() (float64, error) {
 	}
 	if start == p.pos {
 		return 0, fmt.Errorf("expected number at offset %d", p.pos)
+	}
+	// An exponent, as %g prints small weights (1e-07), is part of the
+	// number only when digits follow it.
+	if e := p.pos; e < len(p.src) && (p.src[e] == 'e' || p.src[e] == 'E') {
+		e++
+		if e < len(p.src) && (p.src[e] == '+' || p.src[e] == '-') {
+			e++
+		}
+		if e < len(p.src) && isDigit(p.src[e]) {
+			for e < len(p.src) && isDigit(p.src[e]) {
+				e++
+			}
+			p.pos = e
+		}
 	}
 	f, err := strconv.ParseFloat(p.src[start:p.pos], 64)
 	if err != nil {
