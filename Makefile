@@ -3,7 +3,7 @@
 GO      ?= go
 BINDIR  ?= /tmp/starts-bin
 
-.PHONY: build test vet race lint bench bench-dispatch bench-wire bench-peer bench-engine bench-load bench-load-smoke bench-selftest fuzz-smoke warm soak tier1 tier2 check cli clean
+.PHONY: build test vet race lint bench bench-dispatch bench-wire bench-peer bench-engine bench-load bench-load-smoke bench-selftest fuzz-smoke warm soak stress tier1 tier2 check cli clean
 
 build:
 	$(GO) build ./...
@@ -109,6 +109,17 @@ fuzz-smoke:
 # injection, adaptive-admission overload) under the race detector.
 soak:
 	$(GO) test -race -count=1 -timeout 10m -run 'Soak|Acceptance|DeadlineSheds' .
+
+# stress repeats the dispatch layer's concurrency tests 20 times under
+# the race detector: all of internal/dispatch, plus core's dispatch,
+# batch and resilience tests (their names are read from those files). A
+# single -race pass misses rare interleavings between the queue pump,
+# the workers that run its groups and the waiters resolving tickets.
+stress:
+	$(GO) test -race -count=20 ./internal/dispatch
+	$(GO) test -race -count=20 -run "^($$(sed -n 's/^func \(Test[A-Za-z0-9_]*\)(.*/\1/p' \
+		internal/core/dispatch_test.go internal/core/batch_test.go internal/core/resilience_test.go | paste -sd'|' -))$$" \
+		./internal/core
 
 # tier1 is the repo's baseline gate: everything must always pass.
 tier1: build test

@@ -2,7 +2,7 @@
 // records — per-source dispatch run-latency histograms, queue stats and
 // circuit-breaker state — back onto the per-source dispatch limits, so
 // a metasearcher tunes itself to each source's live capacity instead of
-// running static first-touch bounds forever.
+// running static configured bounds forever.
 //
 // The controller runs AIMD, the control law TCP congestion control
 // proved out: every tick it reads each source's latency window (the

@@ -189,7 +189,7 @@ func TestAgainstRealDispatcher(t *testing.T) {
 	run := func(dur time.Duration, n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			tk, err := d.Submit(t.Context(), "s", "", dispatch.Limits{}, func(context.Context) (any, error) {
+			tk, err := d.Submit(t.Context(), "s", "", func(context.Context) (any, error) {
 				time.Sleep(dur)
 				return nil, nil
 			})

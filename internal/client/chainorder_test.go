@@ -215,7 +215,7 @@ func TestChainOrderBatchCapability(t *testing.T) {
 		conn := client.Chain(src,
 			func(c client.Conn) client.Conn { return resilient.Wrap(c, policy, nil) },
 			func(c client.Conn) client.Conn { return qcache.WrapConn(c, cache) },
-			func(c client.Conn) client.Conn { return dispatch.WrapConn(c, d, dispatch.Limits{Concurrency: 1}) },
+			func(c client.Conn) client.Conn { return dispatch.WrapConn(c, d) },
 			func(c client.Conn) client.Conn { return obs.WrapConn(c, reg) },
 		)
 		bc, ok := conn.(client.BatchConn)
@@ -318,7 +318,7 @@ func TestWrapKeepsBatchCapability(t *testing.T) {
 		{"client.Keep", func(c client.Conn) client.Conn { return client.Keep(c, &batchLeaf{}) }},
 		{"obs.WrapConn", func(c client.Conn) client.Conn { return obs.WrapConn(c, obs.NewRegistry()) }},
 		{"qcache.WrapConn", func(c client.Conn) client.Conn { return qcache.WrapConn(c, qcache.New(qcache.Config{})) }},
-		{"dispatch.WrapConn", func(c client.Conn) client.Conn { return dispatch.WrapConn(c, d, dispatch.Limits{}) }},
+		{"dispatch.WrapConn", func(c client.Conn) client.Conn { return dispatch.WrapConn(c, d) }},
 		{"resilient.Wrap", func(c client.Conn) client.Conn { return resilient.Wrap(c, resilient.RetryPolicy{}, nil) }},
 		{"faulty.WrapBatch", func(c client.Conn) client.Conn {
 			if bc, ok := c.(client.BatchConn); ok {
@@ -381,7 +381,7 @@ func TestChainOrderWithDispatch(t *testing.T) {
 		conn := client.Chain(src,
 			func(c client.Conn) client.Conn { return resilient.Wrap(c, policy, nil) },
 			func(c client.Conn) client.Conn { return qcache.WrapConn(c, cache) },
-			func(c client.Conn) client.Conn { return dispatch.WrapConn(c, d, dispatch.Limits{}) },
+			func(c client.Conn) client.Conn { return dispatch.WrapConn(c, d) },
 			func(c client.Conn) client.Conn { return obs.WrapConn(c, reg) },
 		)
 		q := query.New()
@@ -420,7 +420,7 @@ func TestChainOrderWithDispatch(t *testing.T) {
 		conn := client.Chain(src,
 			func(c client.Conn) client.Conn { return resilient.Wrap(c, policy, nil) },
 			func(c client.Conn) client.Conn { return qcache.WrapConn(c, cache) },
-			func(c client.Conn) client.Conn { return dispatch.WrapConn(c, d, dispatch.Limits{}) },
+			func(c client.Conn) client.Conn { return dispatch.WrapConn(c, d) },
 			func(c client.Conn) client.Conn { return obs.WrapConn(c, reg) },
 		)
 		q := query.New()

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"time"
-
-	"starts/internal/dispatch"
 )
 
 // HarvestDue refreshes every source whose harvested metadata is missing,
@@ -18,7 +16,6 @@ import (
 // the sources that were due (empty when nothing was).
 func (m *Metasearcher) HarvestDue(ctx context.Context, lead time.Duration) map[string]error {
 	m.mu.RLock()
-	lim := dispatch.Limits{Concurrency: m.opts.SourceConcurrency, QueueDepth: m.opts.QueueDepth, MaxBatchWire: m.opts.MaxBatchWire}
 	now := m.opts.Now()
 	var due []string
 	for _, id := range m.order {
@@ -28,7 +25,7 @@ func (m *Metasearcher) HarvestDue(ctx context.Context, lead time.Duration) map[s
 	}
 	m.mu.RUnlock()
 	m.metrics.Counter("starts_harvester_due_total").Add(int64(len(due)))
-	errs := m.harvestIDs(ctx, lim, due)
+	errs := m.harvestIDs(ctx, due)
 	out := make(map[string]error, len(due))
 	for _, id := range due {
 		out[id] = errs[id]
@@ -58,6 +55,20 @@ func harvestDue(e *entry, now time.Time, lead time.Duration) bool {
 // earlier one); an interval of 0 defaults to one minute. The returned
 // channel closes when the harvester has stopped.
 func (m *Metasearcher) StartHarvester(ctx context.Context, interval, lead time.Duration) <-chan struct{} {
+	return every(ctx, interval, lead, false, func(lead time.Duration) {
+		m.metrics.Counter("starts_harvester_ticks_total").Inc()
+		m.HarvestDue(ctx, lead)
+	})
+}
+
+// every runs tick every interval on its own goroutine until ctx ends —
+// once more on the way out when onExit is set — and returns a channel
+// that closes when it has stopped. It is the one ticker loop behind the
+// metasearcher's background workers, and the home of their defaults: an
+// interval of 0 means one minute, and the look-ahead lead handed to tick
+// defaults to twice the interval, so an entry expiring between two
+// ticks is caught by the earlier one.
+func every(ctx context.Context, interval, lead time.Duration, onExit bool, tick func(lead time.Duration)) <-chan struct{} {
 	if interval <= 0 {
 		interval = time.Minute
 	}
@@ -72,10 +83,12 @@ func (m *Metasearcher) StartHarvester(ctx context.Context, interval, lead time.D
 		for {
 			select {
 			case <-ctx.Done():
+				if onExit {
+					tick(lead)
+				}
 				return
 			case <-t.C:
-				m.metrics.Counter("starts_harvester_ticks_total").Inc()
-				m.HarvestDue(ctx, lead)
+				tick(lead)
 			}
 		}
 	}()

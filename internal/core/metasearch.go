@@ -74,18 +74,22 @@ type Options struct {
 	// once: every per-source call (queries, harvests, warm replays, SWR
 	// refreshes) flows through the metasearcher's dispatch layer, where
 	// each source owns this many workers. 0 takes
-	// dispatch.DefaultConcurrency. A source's queue is sized on its
-	// first contact; later per-search overrides do not resize it.
+	// dispatch.DefaultConcurrency. New hands it, with QueueDepth and
+	// MaxBatchWire, to the dispatcher once: every source queue is sized
+	// from them, and only dispatch.Dispatcher.Resize — what the Adaptive
+	// controller drives — changes a live queue.
 	SourceConcurrency int
 	// QueueDepth bounds how many batches may wait per source before
 	// submissions are shed with a typed dispatch.ErrQueueFull (surfaced
 	// in the per-source outcome). 0 takes dispatch.DefaultQueueDepth.
+	// Set once, like SourceConcurrency.
 	QueueDepth int
 	// MaxBatchWire bounds how many distinct queued queries a dispatch
 	// worker multiplexes into one wire call when a source's connection is
 	// batch-capable (client.BatchConn). 0 takes
 	// dispatch.DefaultMaxBatchWire; connections without batch support
-	// ignore it and keep one wire call per query.
+	// ignore it and keep one wire call per query. Set once, like
+	// SourceConcurrency.
 	MaxBatchWire int
 	// Adaptive, when set, builds a self-tuning admission controller over
 	// the dispatch layer: an AIMD loop that grows each source's
@@ -280,10 +284,7 @@ func (m *Metasearcher) expired(e *entry) bool {
 // through the dispatch layer. It returns the first error encountered,
 // after attempting all sources.
 func (m *Metasearcher) Harvest(ctx context.Context) error {
-	m.mu.RLock()
-	lim := dispatch.Limits{Concurrency: m.opts.SourceConcurrency, QueueDepth: m.opts.QueueDepth, MaxBatchWire: m.opts.MaxBatchWire}
-	m.mu.RUnlock()
-	for _, err := range m.harvestAll(ctx, lim) {
+	for _, err := range m.harvestAll(ctx) {
 		if err != nil {
 			return err
 		}
@@ -296,7 +297,7 @@ func (m *Metasearcher) Harvest(ctx context.Context) error {
 // refresh is submitted to the source's dispatch queue under the key
 // "harvest", so concurrent searches that both find a source stale share
 // one harvest instead of racing duplicate fetches at it.
-func (m *Metasearcher) harvestAll(ctx context.Context, lim dispatch.Limits) map[string]error {
+func (m *Metasearcher) harvestAll(ctx context.Context) map[string]error {
 	m.mu.RLock()
 	total := len(m.order)
 	var stale []string
@@ -308,19 +309,19 @@ func (m *Metasearcher) harvestAll(ctx context.Context, lim dispatch.Limits) map[
 	m.mu.RUnlock()
 	m.metrics.Counter("starts_harvest_cache_hits_total").Add(int64(total - len(stale)))
 	m.metrics.Counter("starts_harvest_cache_misses_total").Add(int64(len(stale)))
-	return m.harvestIDs(ctx, lim, stale)
+	return m.harvestIDs(ctx, stale)
 }
 
 // harvestIDs refreshes the given sources concurrently through the
 // dispatch layer (key "harvest", so concurrent searches and the
 // scheduled harvester share one fetch per source) and returns the
 // per-source errors.
-func (m *Metasearcher) harvestIDs(ctx context.Context, lim dispatch.Limits, ids []string) map[string]error {
+func (m *Metasearcher) harvestIDs(ctx context.Context, ids []string) map[string]error {
 	out := map[string]error{}
 	tickets := make(map[string]*dispatch.Ticket, len(ids))
 	for _, id := range ids {
 		id := id
-		t, err := m.dispatcher.Submit(ctx, id, "harvest", lim,
+		t, err := m.dispatcher.Submit(ctx, id, "harvest",
 			func(tctx context.Context) (any, error) {
 				return nil, m.harvestOne(tctx, id)
 			})
@@ -806,8 +807,7 @@ func (m *Metasearcher) run(ctx context.Context, q *query.Query, opts Options, em
 	// Best-effort harvesting: an unreachable source must not block the
 	// healthy ones; its error is recorded in the answer instead.
 	hsp := tr.StartSpan("harvest")
-	harvestErrs := m.harvestAll(obs.WithSpan(ctx, hsp),
-		dispatch.Limits{Concurrency: opts.SourceConcurrency, QueueDepth: opts.QueueDepth, MaxBatchWire: opts.MaxBatchWire})
+	harvestErrs := m.harvestAll(obs.WithSpan(ctx, hsp))
 	hsp.Annotate("errors", strconv.Itoa(len(harvestErrs)))
 	hsp.End(nil)
 
@@ -1150,15 +1150,6 @@ func (m *Metasearcher) fanOut(ctx context.Context, ids []string, plans map[strin
 	return outcomes
 }
 
-// batchKey fingerprints one translated sub-query for cross-search
-// coalescing: identical in-flight queries destined for the same source
-// share one wire call. Hashing the translated (not the original) query
-// means two different user queries that translate identically for a
-// source still coalesce.
-func batchKey(id string, sent *query.Query) string {
-	return qcache.Keyer{Scope: "dispatch/" + id}.Key(sent)
-}
-
 func (m *Metasearcher) queryOne(ctx context.Context, id string, plan *sourcePlan, opts Options) *SourceOutcome {
 	oc := &SourceOutcome{Stale: plan.stale, Sent: plan.sent, Report: plan.report}
 	if plan.err != nil {
@@ -1175,45 +1166,19 @@ func (m *Metasearcher) queryOne(ctx context.Context, id string, plan *sourcePlan
 	// call (coalescing, queue wait) separately from the source's answer.
 	dsp := sp.Child("dispatch")
 	dsp.SetSource(id)
-	conn, sent, timeout := plan.conn, plan.sent, opts.Timeout
 	start := opts.Now()
-	// The per-source deadline starts before Submit and is carried on the
-	// submitted context, so the dispatcher's deadline-aware admission can
-	// see this caller's remaining budget and refuse work that could not
-	// finish in time (dispatch.ErrDeadline) instead of queueing it. The
-	// batch itself detaches from this cancellation; the wire call is
-	// bounded by the same timeout applied inside the task.
-	wctx, cancel := context.WithTimeout(ctx, timeout)
+	// The per-source deadline starts before the submit and is carried on
+	// the submitted context, so the dispatcher's deadline-aware admission
+	// can see this caller's remaining budget and refuse work that could
+	// not finish in time (dispatch.ErrDeadline) instead of queueing it.
+	// The batch itself detaches from this cancellation; the dispatcher
+	// bounds the wire call by the same timeout. Over a batch-capable
+	// connection the wire call may carry other queued sub-queries for the
+	// source too; the breaker gating below uses Ticket.FaultPrimary so a
+	// shared wire failure counts once.
+	wctx, cancel := context.WithTimeout(ctx, opts.Timeout)
 	defer cancel()
-	lim := dispatch.Limits{Concurrency: opts.SourceConcurrency, QueueDepth: opts.QueueDepth, MaxBatchWire: opts.MaxBatchWire}
-	var ticket *dispatch.Ticket
-	var err error
-	if bconn, ok := conn.(client.BatchConn); ok {
-		// A batch-capable connection submits multiplexable work: the
-		// dispatch worker drains queued sub-queries for this source and
-		// issues them as ONE wire call, so a fan-out burst pays one round
-		// trip per drain instead of one per query. Per-item errors come
-		// back index-aligned, and the breaker gating below uses
-		// Ticket.FaultPrimary so a shared wire failure counts once.
-		exec := dispatch.BatchExec(bconn)
-		ticket, err = m.dispatcher.SubmitMux(obs.WithSpan(wctx, sp), id, batchKey(id, sent), lim,
-			sent, func(gctx context.Context, items []any) ([]any, []error) {
-				// The per-source Timeout bounds the wire call itself; the
-				// waiters' contexts only bound their willingness to wait.
-				qctx, cancel := context.WithTimeout(gctx, timeout)
-				defer cancel()
-				return exec(qctx, items)
-			})
-	} else {
-		ticket, err = m.dispatcher.Submit(obs.WithSpan(wctx, sp), id, batchKey(id, sent), lim,
-			func(tctx context.Context) (any, error) {
-				// The per-source Timeout bounds the wire call itself; the
-				// waiters' contexts only bound their willingness to wait.
-				qctx, cancel := context.WithTimeout(tctx, timeout)
-				defer cancel()
-				return conn.Query(qctx, sent)
-			})
-	}
+	ticket, err := m.dispatcher.SubmitQuery(obs.WithSpan(wctx, sp), plan.conn, plan.sent, opts.Timeout)
 	var res *result.Results
 	led := true
 	if err == nil {

@@ -83,41 +83,6 @@ func WithNoCache() SearchOption {
 	return func(cfg *searchConfig) { cfg.noCache = true }
 }
 
-// WithSourceConcurrency caps how many wire calls this search's sources
-// each run in parallel. The cap only takes effect for sources whose
-// dispatch queue this search is the first to touch — queues are sized
-// once, on first contact, and later overrides do not resize them.
-func WithSourceConcurrency(n int) SearchOption {
-	return func(c *searchConfig) {
-		if n > 0 {
-			c.SourceConcurrency = n
-		}
-	}
-}
-
-// WithQueueDepth bounds how many batches may wait per source before the
-// dispatcher sheds with ErrQueueFull. Like WithSourceConcurrency, it
-// applies only to queues first touched by this search.
-func WithQueueDepth(n int) SearchOption {
-	return func(c *searchConfig) {
-		if n > 0 {
-			c.QueueDepth = n
-		}
-	}
-}
-
-// WithMaxBatchWire bounds how many distinct queued queries one wire call
-// multiplexes for this search's batch-capable sources (0 = the
-// dispatcher default). Like WithSourceConcurrency, it applies only to
-// queues first touched by this search.
-func WithMaxBatchWire(n int) SearchOption {
-	return func(c *searchConfig) {
-		if n > 0 {
-			c.MaxBatchWire = n
-		}
-	}
-}
-
 // WithTrace records this search's span tree into t (its zero value is
 // fine; Search re-begins it), so the caller keeps the trace even when it
 // discards the answer:

@@ -47,27 +47,7 @@ func (m *Metasearcher) RefreshAhead(lead time.Duration) int {
 // by the earlier one; an interval of 0 defaults to one minute. The
 // returned channel closes when the refresher has stopped.
 func (m *Metasearcher) StartRefresher(ctx context.Context, interval, lead time.Duration) <-chan struct{} {
-	if interval <= 0 {
-		interval = time.Minute
-	}
-	if lead <= 0 {
-		lead = 2 * interval
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				m.RefreshAhead(lead)
-			}
-		}
-	}()
-	return done
+	return every(ctx, interval, lead, false, func(lead time.Duration) { m.RefreshAhead(lead) })
 }
 
 // StartWorkloadSaver snapshots the recorded warm-start workload to path
@@ -78,25 +58,7 @@ func (m *Metasearcher) StartRefresher(ctx context.Context, interval, lead time.D
 // defaults to one minute. The returned channel closes after the final
 // save.
 func (m *Metasearcher) StartWorkloadSaver(ctx context.Context, path string, interval time.Duration) <-chan struct{} {
-	if interval <= 0 {
-		interval = time.Minute
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				m.SaveWorkload(path)
-				return
-			case <-t.C:
-				m.SaveWorkload(path)
-			}
-		}
-	}()
-	return done
+	return every(ctx, interval, 0, true, func(time.Duration) { m.SaveWorkload(path) })
 }
 
 // SaveWorkload persists the current workload snapshot to path, counting

@@ -5,7 +5,6 @@ import (
 
 	"starts/internal/client"
 	"starts/internal/meta"
-	"starts/internal/qcache"
 	"starts/internal/query"
 	"starts/internal/result"
 	"starts/internal/source"
@@ -18,46 +17,21 @@ import (
 // concurrent identical misses (and harvests) are deduplicated before
 // they can stampede anything below.
 //
-// Over a batch-capable source, queries submit through SubmitMux, so
-// distinct queries queued for the source multiplex into single wire
-// calls when a worker drains the queue — the dispatcher's MaxBatchWire
-// bound and the inner QueryBatch seam together turn one RTT per
-// sub-query into one RTT per drain.
+// Over a batch-capable source, queries submit multiplexable work
+// (SubmitQuery), so distinct queries queued for the source share single
+// wire calls when a worker drains the queue — the dispatcher's
+// MaxBatchWire bound and the inner QueryBatch seam together turn one RTT
+// per sub-query into one RTT per drain.
 type Conn struct {
 	inner client.Conn
 	d     *Dispatcher
-	lim   Limits
-	keyer qcache.Keyer
-	exec  MuxExec // BatchExec(inner) for a batch-capable inner, else nil
 }
 
-// WrapConn wraps inner so its traffic flows through d under the source's
-// limits (zero Limits fields take the dispatcher's defaults). The
-// wrapper is batch-capable exactly when inner is (client.Keep).
-func WrapConn(inner client.Conn, d *Dispatcher, lim Limits) client.Conn {
-	c := &Conn{inner: inner, d: d, lim: lim, keyer: qcache.Keyer{Scope: "dispatch/" + inner.SourceID()}}
-	if bc, ok := inner.(client.BatchConn); ok {
-		c.exec = BatchExec(bc)
-	}
-	return client.Keep(inner, c)
-}
-
-// BatchExec is the group executor that runs a drained group of queued
-// *query.Query items as one QueryBatch wire call on bc. It leaves the
-// shape check (one value and one error per item) to the dispatcher.
-func BatchExec(bc client.BatchConn) MuxExec {
-	return func(ctx context.Context, items []any) ([]any, []error) {
-		qs := make([]*query.Query, len(items))
-		for i, it := range items {
-			qs[i] = it.(*query.Query)
-		}
-		rs, errs := bc.QueryBatch(ctx, qs)
-		vals := make([]any, len(rs))
-		for i, r := range rs {
-			vals[i] = r
-		}
-		return vals, errs
-	}
+// WrapConn wraps inner so its traffic flows through d, under the
+// per-source limits d was configured with. The wrapper is batch-capable
+// exactly when inner is (client.Keep).
+func WrapConn(inner client.Conn, d *Dispatcher) client.Conn {
+	return client.Keep(inner, &Conn{inner: inner, d: d})
 }
 
 // SourceID identifies the wrapped source.
@@ -65,7 +39,7 @@ func (c *Conn) SourceID() string { return c.inner.SourceID() }
 
 // do submits one call and waits for its (possibly shared) result.
 func (c *Conn) do(ctx context.Context, key string, fn Task) (any, error) {
-	t, err := c.d.Submit(ctx, c.inner.SourceID(), key, c.lim, fn)
+	t, err := c.d.Submit(ctx, c.inner.SourceID(), key, fn)
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +86,7 @@ func (c *Conn) Sample(ctx context.Context) ([]*source.SampleEntry, error) {
 // source distinct ones share wire calls per queue drain; a shared result
 // is cloned per waiter because rank merging mutates documents.
 func (c *Conn) Query(ctx context.Context, q *query.Query) (*result.Results, error) {
-	t, err := c.submit(ctx, q)
+	t, err := c.d.SubmitQuery(ctx, c.inner, q, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +103,7 @@ func (c *Conn) QueryBatch(ctx context.Context, qs []*query.Query) ([]*result.Res
 	errs := make([]error, len(qs))
 	tickets := make([]*Ticket, len(qs))
 	for i, q := range qs {
-		tickets[i], errs[i] = c.submit(ctx, q)
+		tickets[i], errs[i] = c.d.SubmitQuery(ctx, c.inner, q, 0)
 	}
 	for i, t := range tickets {
 		if t != nil {
@@ -137,18 +111,6 @@ func (c *Conn) QueryBatch(ctx context.Context, qs []*query.Query) ([]*result.Res
 		}
 	}
 	return results, errs
-}
-
-// submit queues one query: multiplexable over a batch-capable source, a
-// plain task otherwise.
-func (c *Conn) submit(ctx context.Context, q *query.Query) (*Ticket, error) {
-	if c.exec != nil {
-		return c.d.SubmitMux(ctx, c.inner.SourceID(), c.keyer.Key(q), c.lim, q, c.exec)
-	}
-	return c.d.Submit(ctx, c.inner.SourceID(), c.keyer.Key(q), c.lim,
-		func(tctx context.Context) (any, error) {
-			return c.inner.Query(tctx, q)
-		})
 }
 
 // wait collects a query ticket's result, cloning a shared one.

@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"starts/internal/obs"
+	"starts/internal/qcache"
 )
 
 // Default per-source bounds, used when Limits leave a field zero.
@@ -46,8 +47,8 @@ const (
 	// DefaultQueueDepth is the default bound on batches waiting per
 	// source before Submit sheds with ErrQueueFull.
 	DefaultQueueDepth = 64
-	// DefaultMaxBatchWire is the default bound on queued mux submissions
-	// a worker drains into one wire call (see SubmitMux).
+	// DefaultMaxBatchWire is the default bound on queued queries a
+	// worker drains into one wire call (see SubmitQuery).
 	DefaultMaxBatchWire = 16
 )
 
@@ -90,57 +91,47 @@ const runRingSize = 32
 type Task func(ctx context.Context) (any, error)
 
 // Limits bound one source's queue: how many workers serve it and how
-// many batches may wait. Zero fields take the dispatcher's configured
-// defaults (and ultimately DefaultConcurrency/DefaultQueueDepth). A
-// source's queue is created on first submit with the limits in effect
-// then; later submits with different limits do not resize it — only
-// Resize does, which is how an adaptive controller tightens a degraded
-// source's bounds and re-opens them on recovery.
+// many batches may wait. A dispatcher sizes every queue it creates from
+// its Config.Limits (zero fields take DefaultConcurrency,
+// DefaultQueueDepth and DefaultMaxBatchWire); Resize is the only way to
+// change a live queue, which is how an adaptive controller tightens a
+// degraded source's bounds and re-opens them on recovery.
 type Limits struct {
 	// Concurrency is the worker count: the hard bound on the source's
 	// in-flight wire calls.
 	Concurrency int
 	// QueueDepth bounds batches waiting for a worker.
 	QueueDepth int
-	// MaxBatchWire bounds how many queued mux submissions (SubmitMux) a
-	// worker drains into a single wire call. 1 disables wire batching;
-	// zero takes the default (DefaultMaxBatchWire).
+	// MaxBatchWire bounds how many queued queries (SubmitQuery over a
+	// batch-capable conn) a worker drains into a single wire call. 1
+	// disables wire batching; zero takes the default
+	// (DefaultMaxBatchWire).
 	MaxBatchWire int
 }
 
-// withDefaults fills zero fields from fallback, then from the package
-// defaults.
+// withDefaults fills l's zero fields from fallback.
 func (l Limits) withDefaults(fallback Limits) Limits {
 	if l.Concurrency <= 0 {
 		l.Concurrency = fallback.Concurrency
 	}
-	if l.Concurrency <= 0 {
-		l.Concurrency = DefaultConcurrency
-	}
 	if l.QueueDepth <= 0 {
 		l.QueueDepth = fallback.QueueDepth
 	}
-	if l.QueueDepth <= 0 {
-		l.QueueDepth = DefaultQueueDepth
-	}
 	if l.MaxBatchWire <= 0 {
 		l.MaxBatchWire = fallback.MaxBatchWire
-	}
-	if l.MaxBatchWire <= 0 {
-		l.MaxBatchWire = DefaultMaxBatchWire
 	}
 	return l
 }
 
 // Config configures a Dispatcher. The zero value is usable.
 type Config struct {
-	// Limits are the per-source defaults for queues whose Submit passes
-	// zero Limits fields.
+	// Limits size every source queue the dispatcher creates.
 	Limits Limits
-	// Refuse, when set, is consulted by a worker before running a batch:
-	// true resolves the batch immediately with ErrRefused. Wire a circuit
-	// breaker's open-state check here so a broken source's queue drains
-	// fast. It must be safe for concurrent use.
+	// Refuse, when set, is consulted before a batch runs — by the pump as
+	// it takes the batch off the queue and again by the worker that runs
+	// it: true resolves the batch immediately with ErrRefused. Wire a
+	// circuit breaker's open-state check here so a broken source's queue
+	// drains fast. It must be safe for concurrent use.
 	Refuse func(source string) bool
 	// Metrics receives the starts_dispatch_* counters, gauges and
 	// histograms; nil allocates a private registry.
@@ -168,6 +159,11 @@ func New(cfg Config) *Dispatcher {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
+	cfg.Limits = cfg.Limits.withDefaults(Limits{
+		Concurrency:  DefaultConcurrency,
+		QueueDepth:   DefaultQueueDepth,
+		MaxBatchWire: DefaultMaxBatchWire,
+	})
 	return &Dispatcher{cfg: cfg, queues: map[string]*queue{}}
 }
 
@@ -180,8 +176,8 @@ func (d *Dispatcher) Metrics() *obs.Registry { return d.cfg.Metrics }
 // an empty key never coalesces). It never blocks: a queue at its depth
 // bound sheds with ErrQueueFull. On success the caller must consume the
 // returned Ticket with Wait.
-func (d *Dispatcher) Submit(ctx context.Context, source, key string, lim Limits, fn Task) (*Ticket, error) {
-	q, err := d.queueFor(source, lim)
+func (d *Dispatcher) Submit(ctx context.Context, source, key string, fn Task) (*Ticket, error) {
+	q, err := d.queueFor(source)
 	if err != nil {
 		return nil, err
 	}
@@ -189,8 +185,8 @@ func (d *Dispatcher) Submit(ctx context.Context, source, key string, lim Limits,
 }
 
 // queueFor returns the source's queue, creating it (and starting its
-// pump) on first touch.
-func (d *Dispatcher) queueFor(source string, lim Limits) (*queue, error) {
+// pump) sized by the dispatcher's Limits on first touch.
+func (d *Dispatcher) queueFor(source string) (*queue, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -198,7 +194,7 @@ func (d *Dispatcher) queueFor(source string, lim Limits) (*queue, error) {
 	}
 	q := d.queues[source]
 	if q == nil {
-		q = newQueue(d, source, lim.withDefaults(d.cfg.Limits))
+		q = newQueue(d, source, d.cfg.Limits)
 		d.queues[source] = q
 		go q.pump()
 	}
@@ -226,60 +222,83 @@ func (d *Dispatcher) Resize(source string, lim Limits) bool {
 	return true
 }
 
-// semaphore is a resizable counting semaphore: acquire blocks while held
-// >= limit, and setLimit retunes the bound live — lowering it below the
-// held count blocks new acquires until enough releases land, without
-// interrupting current holders.
-type semaphore struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	limit int
-	held  int
+// pool is a source's resizable set of worker slots together with the
+// count of batches queued for them. acquire blocks while held >= limit,
+// and setLimit retunes the bound live — lowering it below the held count
+// blocks new acquires until enough releases land, without interrupting
+// current holders. One lock covers both counts, so a batch moving from
+// the queue to a slot is never seen in both places (or in neither) by
+// the admission check.
+type pool struct {
+	mu     sync.Mutex
+	cond   *sync.Cond
+	limit  int
+	held   int
+	queued int // batches admitted but not yet holding a slot or dropped
 }
 
-func newSemaphore(limit int) *semaphore {
-	s := &semaphore{limit: limit}
-	s.cond = sync.NewCond(&s.mu)
-	return s
+func newPool(limit int) *pool {
+	p := &pool{limit: limit}
+	p.cond = sync.NewCond(&p.mu)
+	return p
 }
 
-func (s *semaphore) acquire() {
-	s.mu.Lock()
-	for s.held >= s.limit {
-		s.cond.Wait()
+// enqueue admits one more queued batch unless the batches no free slot
+// covers already reach bound: batches a free slot is about to take are
+// "running imminently", not waiting, and do not consume the bound.
+func (p *pool) enqueue(bound int) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.queued-max(p.limit-p.held, 0) >= bound {
+		return false
 	}
-	s.held++
-	s.mu.Unlock()
+	p.queued++
+	return true
 }
 
-func (s *semaphore) release() {
-	s.mu.Lock()
-	s.held--
-	s.mu.Unlock()
-	s.cond.Signal()
+// unqueue forgets a queued batch that will never take a slot.
+func (p *pool) unqueue() {
+	p.mu.Lock()
+	p.queued--
+	p.mu.Unlock()
 }
 
-// free reports how many slots an acquire would win without waiting
-// (zero while a shrink leaves more holders than the new limit).
-func (s *semaphore) free() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := s.limit - s.held; n > 0 {
-		return n
+// acquire moves one queued batch into a slot, blocking until one frees.
+func (p *pool) acquire() {
+	p.mu.Lock()
+	for p.held >= p.limit {
+		p.cond.Wait()
 	}
-	return 0
+	p.held++
+	p.queued--
+	p.mu.Unlock()
 }
 
-func (s *semaphore) setLimit(n int) {
+// release gives a slot back: vacate frees it for the admission check
+// and for an acquire not yet parked, and wake rouses a parked one.
+func (p *pool) release() {
+	p.vacate()
+	p.wake()
+}
+
+func (p *pool) vacate() {
+	p.mu.Lock()
+	p.held--
+	p.mu.Unlock()
+}
+
+func (p *pool) wake() { p.cond.Signal() }
+
+func (p *pool) setLimit(n int) {
 	if n < 1 {
 		n = 1
 	}
-	s.mu.Lock()
-	grew := n > s.limit
-	s.limit = n
-	s.mu.Unlock()
+	p.mu.Lock()
+	grew := n > p.limit
+	p.limit = n
+	p.mu.Unlock()
 	if grew {
-		s.cond.Broadcast()
+		p.cond.Broadcast()
 	}
 }
 
@@ -377,19 +396,14 @@ const queueHardCap = 1024
 type queue struct {
 	d      *Dispatcher
 	source string
+	keyer  qcache.Keyer // fingerprints SubmitQuery's queries for coalescing
 	ch     chan *batch
-	sem    *semaphore
+	slots  *pool
 
 	mu      sync.Mutex
 	lim     Limits            // live bounds; mutated only by resize
 	pending map[string]*batch // key -> in-flight batch accepting joiners
 	closed  bool
-
-	// depth counts batches between submit and pump pickup. Incremented
-	// under mu (so the admission check never over-admits), decremented by
-	// the pump without mu — a stale-high read only sheds early, never
-	// over-fills.
-	depth atomic.Int64
 
 	// runMu guards the recent-run ring feeding the deadline check.
 	runMu sync.Mutex
@@ -420,9 +434,10 @@ func newQueue(d *Dispatcher, source string, lim Limits) *queue {
 	q := &queue{
 		d:           d,
 		source:      source,
+		keyer:       qcache.Keyer{Scope: "dispatch/" + source},
 		lim:         lim,
 		ch:          make(chan *batch, hard),
-		sem:         newSemaphore(lim.Concurrency),
+		slots:       newPool(lim.Concurrency),
 		pending:     map[string]*batch{},
 		cSubmitted:  reg.Counter(l(obs.MDispatchSubmitted)),
 		cBatched:    reg.Counter(l(obs.MDispatchBatched)),
@@ -453,7 +468,7 @@ func (q *queue) resize(lim Limits) {
 	q.mu.Lock()
 	q.lim = lim
 	q.mu.Unlock()
-	q.sem.setLimit(lim.Concurrency)
+	q.slots.setLimit(lim.Concurrency)
 	q.gConcLimit.Set(int64(lim.Concurrency))
 	q.gQueueLimit.Set(int64(lim.QueueDepth))
 }
@@ -518,7 +533,7 @@ func (q *queue) stat() QueueStat {
 // shedding with ErrQueueFull when the queue is at its depth bound and
 // with ErrDeadline when the caller's remaining budget cannot cover the
 // source's typical service time.
-func (q *queue) submit(ctx context.Context, key string, fn Task, item any, exec MuxExec) (*Ticket, error) {
+func (q *queue) submit(ctx context.Context, key string, fn Task, item any, exec muxExec) (*Ticket, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -559,12 +574,10 @@ func (q *queue) submit(ctx context.Context, key string, fn Task, item any, exec 
 			}
 		}
 	}
-	// The depth counter includes batches the pump is about to hand to a
-	// free worker (it decrements only once a batch wins a worker slot, so
-	// a batch parked behind a busy pool still counts as queued). Batches
-	// covered by free slots are therefore subtracted: they are "running
-	// imminently", not waiting, and must not consume the queue bound.
-	if q.depth.Load()-int64(q.sem.free()) >= int64(q.lim.QueueDepth) {
+	// The slot pool counts queued batches and admits this one unless the
+	// queue is at its depth bound. Checked under mu, so concurrent
+	// submits never over-admit.
+	if !q.slots.enqueue(q.lim.QueueDepth) {
 		depth := q.lim.QueueDepth
 		q.mu.Unlock()
 		q.queueFull.Add(1)
@@ -585,22 +598,20 @@ func (q *queue) submit(ctx context.Context, key string, fn Task, item any, exec 
 		enqueued: q.d.cfg.Now(),
 		waiters:  1,
 		done:     make(chan struct{}),
-		// Until a multiplexed group run says otherwise, every batch is
-		// the primary fault of its own wire call.
+		// Until run settles its group's faults, every batch is the
+		// primary fault of its own wire call.
 		faultPrimary: true,
 	}
-	// The depth counter and gauge rise before the batch becomes visible
-	// on the channel: the pump decrements on receive, so incrementing
-	// after the send could transiently read -1. The channel's fixed
-	// capacity is at least the clamped depth bound, so with depth checked
-	// under mu the send cannot block; the default arm is pure insurance.
-	q.depth.Add(1)
+	// The depth gauge rises before the batch becomes visible on the
+	// channel: the pump decrements it on receive, so incrementing after
+	// the send could transiently read -1. The channel's fixed capacity is
+	// at least the clamped depth bound, so with admission checked under
+	// mu the send cannot block; the default arm is pure insurance.
 	q.gDepth.Add(1)
 	select {
 	case q.ch <- b:
 	default:
-		q.depth.Add(-1)
-		q.gDepth.Add(-1)
+		q.dequeued()
 		depth := q.lim.QueueDepth
 		q.mu.Unlock()
 		cancel()
@@ -618,134 +629,204 @@ func (q *queue) submit(ctx context.Context, key string, fn Task, item any, exec 
 }
 
 // pump serves batches until the queue's channel closes: it acquires a
-// slot from the resizable semaphore (the live concurrency bound) and
-// runs each batch on its own goroutine. Batches already abandoned or
-// refused resolve inline without a slot, so a drained or broken source's
-// queue empties fast even while its slots are busy.
+// slot from the resizable pool (the live concurrency bound) and
+// hands each batch to run on its own goroutine. Batches already
+// abandoned or refused resolve through drop without a slot, so a
+// drained or broken source's queue empties fast even while its slots
+// are busy; the pump itself never runs work.
 //
 // When the batch at the head is a mux submission, the pump drains up to
 // MaxBatchWire-1 further mux batches off the queue into the same worker
-// slot — one wire call for the whole drain (runGroup). A non-mux batch
-// encountered mid-drain is stashed, not skipped: the pump is a single
-// goroutine, so the stash is checked before the channel on the next
-// iteration and FIFO order is preserved.
+// slot — one wire call for the whole drain. A plain batch encountered
+// mid-drain is stashed, not skipped: the pump is a single goroutine, so
+// the stash is checked before the channel on the next iteration and
+// FIFO order is preserved.
 func (q *queue) pump() {
 	var stash *batch
 	for {
-		var b *batch
-		if stash != nil {
-			b, stash = stash, nil
-		} else {
+		b := stash
+		stash = nil
+		if b == nil {
 			var ok bool
 			if b, ok = <-q.ch; !ok {
 				return
 			}
 		}
-		// The batch stays in the depth accounting until it either
-		// resolves inline or wins a slot: while the pump is parked at the
-		// semaphore the batch is still "waiting for a worker", and
-		// forgetting it early would quietly widen the admission bound by
-		// one.
-		if b.ctx.Err() != nil || (q.d.cfg.Refuse != nil && q.d.cfg.Refuse(q.source)) {
-			q.depth.Add(-1)
-			q.gDepth.Add(-1)
-			q.runBatch(b)
+		// The batch stays queued until it either resolves inline or wins
+		// a slot: while the pump is parked at the pool the batch is still
+		// "waiting for a worker", and forgetting it early would quietly
+		// widen the admission bound by one.
+		if q.drop(b, q.refuses()) {
+			q.dequeued()
 			continue
 		}
-		q.sem.acquire()
-		q.depth.Add(-1)
+		q.slots.acquire()
 		q.gDepth.Add(-1)
-		if b.exec == nil {
-			go func(b *batch) {
-				defer q.sem.release()
-				q.runBatch(b)
-			}(b)
-			continue
+		group, max := []*batch{b}, 1
+		if b.exec != nil {
+			max = q.limits().MaxBatchWire
 		}
-		group := []*batch{b}
-		max := q.limits().MaxBatchWire
 	drain:
 		for len(group) < max {
 			select {
 			case nb, ok := <-q.ch:
-				if !ok {
-					break drain
-				}
 				switch {
-				case nb.ctx.Err() != nil || (q.d.cfg.Refuse != nil && q.d.cfg.Refuse(q.source)):
-					// Resolves without running; costs no slot.
-					q.depth.Add(-1)
-					q.gDepth.Add(-1)
-					q.runBatch(nb)
+				case !ok:
+					break drain
+				case q.drop(nb, q.refuses()):
+					// Resolved without running; costs no slot.
+					q.dequeued()
 				case nb.exec == nil:
 					// A plain task cannot join a wire group; it keeps its
 					// depth accounting and runs on the next pump iteration.
 					stash = nb
 					break drain
 				default:
-					q.depth.Add(-1)
-					q.gDepth.Add(-1)
+					q.dequeued()
 					group = append(group, nb)
 				}
 			default:
 				break drain
 			}
 		}
-		go func(group []*batch) {
-			defer q.sem.release()
-			q.runGroup(group)
-		}(group)
+		go q.run(group)
 	}
 }
 
-// runBatch resolves one batch: skipped if every waiter already abandoned
-// it, fast-drained if the source is refused, otherwise the task runs
-// (with panic containment) under the batch context. The batch leaves the
-// pending map before done closes, mirroring qcache's flightGroup, so a
-// later identical submit starts a fresh batch instead of joining a
-// finished one.
-func (q *queue) runBatch(b *batch) {
-	b.waited = q.d.cfg.Now().Sub(b.enqueued)
-	q.hWait.Observe(b.waited)
+// dequeued forgets a queued batch that will not take a slot of its
+// own: dropped, or riding a drained group's slot.
+func (q *queue) dequeued() {
+	q.slots.unqueue()
+	q.gDepth.Add(-1)
+}
+
+// refuses asks the Refuse hook whether the source is unavailable.
+func (q *queue) refuses() bool {
+	return q.d.cfg.Refuse != nil && q.d.cfg.Refuse(q.source)
+}
+
+// drop resolves b without running it when every waiter has abandoned it
+// or when refused — the caller's own Refuse verdict, so the decision to
+// drop and the error it resolves with can never disagree. It reports
+// whether b was resolved; a live, unrefused batch is left alone.
+func (q *queue) drop(b *batch, refused bool) bool {
 	switch {
 	case b.ctx.Err() != nil:
 		b.err = fmt.Errorf("dispatch: %s: batch abandoned before start: %w", q.source, context.Cause(b.ctx))
 		q.cancelled.Add(1)
 		q.cCancelled.Inc()
-	case q.d.cfg.Refuse != nil && q.d.cfg.Refuse(q.source):
+	case refused:
 		b.err = fmt.Errorf("%w: %s", ErrRefused, q.source)
 		q.refused.Add(1)
 		q.cRefused.Inc()
 	default:
-		q.gInflight.Add(1)
-		start := q.d.cfg.Now()
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					b.err = fmt.Errorf("dispatch: %s: task panicked: %v", q.source, r)
-				}
-			}()
-			if b.exec != nil {
-				// A mux batch that reached the single-task path (e.g. a
-				// pre-check race routed it here) still runs: a group of one.
-				vals, errs := b.exec(b.ctx, []any{b.item})
-				if len(vals) == 1 && len(errs) == 1 {
-					b.val, b.err = vals[0], errs[0]
-				} else {
-					b.err = fmt.Errorf("dispatch: %s: mux exec returned %d values, %d errors for 1 item",
-						q.source, len(vals), len(errs))
-				}
-			} else {
-				b.val, b.err = b.fn(b.ctx)
+		return false
+	}
+	b.waited = q.d.cfg.Now().Sub(b.enqueued)
+	q.hWait.Observe(b.waited)
+	q.resolve(b)
+	return true
+}
+
+// run is the one place submitted work executes. The pump starts it on
+// a goroutine of its own for each group it drains — a plain task is a
+// group of one, a mux drain one exec call for all its members — holding
+// one of the source's worker slots, which run vacates before it
+// resolves any member. Members abandoned or refused since the pump took
+// them resolve first without running. The survivors run under the
+// leader's context; for a group of several, under a merged context
+// derived from the leader's (its trace and metrics values) that is
+// cancelled only once every member's own batch context has ended, so as
+// long as one member has a live waiter the shared wire call keeps
+// running.
+func (q *queue) run(group []*batch) {
+	now := q.d.cfg.Now
+	start := now()
+	refused := q.refuses()
+	active := group[:0]
+	for _, b := range group {
+		if q.drop(b, refused) {
+			continue
+		}
+		b.waited = start.Sub(b.enqueued)
+		q.hWait.Observe(b.waited)
+		active = append(active, b)
+	}
+	if len(active) == 0 {
+		q.slots.release()
+		return
+	}
+	leader := active[0]
+	ctx := leader.ctx
+	if len(active) > 1 {
+		gctx, gcancel := context.WithCancel(context.WithoutCancel(leader.ctx))
+		go func() {
+			// Each member's context ends either when its last waiter
+			// abandons it or when resolve cancels it after the run, so
+			// this watcher always terminates — and cancels the shared call
+			// early exactly when nobody is waiting for any member anymore.
+			for _, b := range active {
+				<-b.ctx.Done()
+			}
+			gcancel()
+		}()
+		ctx = gctx
+	}
+	var (
+		vals []any
+		errs []error
+		fail error
+	)
+	q.gInflight.Add(1)
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				fail = fmt.Errorf("dispatch: %s: task panicked: %v", q.source, r)
 			}
 		}()
-		b.ran = q.d.cfg.Now().Sub(start)
-		q.hRun.Observe(b.ran)
-		q.recordRun(b.ran)
-		q.gInflight.Add(-1)
-		q.countWire(1)
+		if leader.exec == nil {
+			v, err := leader.fn(ctx)
+			vals, errs = []any{v}, []error{err}
+			return
+		}
+		items := make([]any, len(active))
+		for i, b := range active {
+			items[i] = b.item
+		}
+		vals, errs = leader.exec(ctx, items)
+	}()
+	ran := now().Sub(start)
+	q.hRun.Observe(ran)
+	q.recordRun(ran)
+	q.gInflight.Add(-1)
+	q.countWire(len(active))
+	// The slot is vacated before any member resolves, so a caller that
+	// has its answer is admitted against the capacity it freed; the
+	// parked pump is woken only after, so the waiters' follow-up
+	// submissions can still join its next drain.
+	q.slots.vacate()
+	defer q.slots.wake()
+	if fail == nil && (len(vals) != len(active) || len(errs) != len(active)) {
+		fail = fmt.Errorf("dispatch: %s: exec returned %d values, %d errors for %d items",
+			q.source, len(vals), len(errs), len(active))
 	}
-	q.resolve(b)
+	faultTaken := false
+	for i, b := range active {
+		b.ran = ran
+		if fail != nil {
+			b.err = fail
+		} else {
+			b.val, b.err = vals[i], errs[i]
+		}
+		// Exactly one failed member is the wire call's primary fault; the
+		// rest merely shared the call and must not double-count against
+		// per-call accounting such as a breaker's failure threshold.
+		b.faultPrimary = b.err != nil && !faultTaken
+		if b.err != nil {
+			faultTaken = true
+		}
+		q.resolve(b)
+	}
 }
 
 // countWire accounts one wire call that carried n queue items.
@@ -779,9 +860,9 @@ func (q *queue) resolve(b *batch) {
 // the queue mutex.
 type batch struct {
 	key      string
-	fn       Task    // single-task submissions (Submit)
-	item     any     // mux submissions (SubmitMux): the per-item input
-	exec     MuxExec // mux submissions: the group executor
+	fn       Task    // plain submissions: the task
+	item     any     // mux submissions: the per-item input
+	exec     muxExec // mux submissions: the group executor
 	ctx      context.Context
 	cancel   context.CancelFunc
 	enqueued time.Time
@@ -795,8 +876,9 @@ type batch struct {
 	ran    time.Duration
 	fanout int
 	// faultPrimary marks the batch whose failure is its wire call's
-	// primary fault: always true for single-task runs, true for exactly
-	// one failed member of a multiplexed group (see Ticket.FaultPrimary).
+	// primary fault: true for exactly one failed member of each run
+	// group, and for a batch dropped before it ran (see
+	// Ticket.FaultPrimary).
 	faultPrimary bool
 }
 

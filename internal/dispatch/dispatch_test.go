@@ -14,11 +14,11 @@ import (
 
 // occupy parks d's single worker for source until release is closed,
 // returning once the worker has picked the blocker up.
-func occupy(t *testing.T, d *Dispatcher, source string, lim Limits) (release chan struct{}, done *Ticket) {
+func occupy(t *testing.T, d *Dispatcher, source string) (release chan struct{}, done *Ticket) {
 	t.Helper()
 	release = make(chan struct{})
 	started := make(chan struct{})
-	tk, err := d.Submit(context.Background(), source, "", lim, func(context.Context) (any, error) {
+	tk, err := d.Submit(context.Background(), source, "", func(context.Context) (any, error) {
 		close(started)
 		<-release
 		return "blocker", nil
@@ -38,17 +38,16 @@ func occupy(t *testing.T, d *Dispatcher, source string, lim Limits) (release cha
 // worker busy and the queue at its depth bound, Submit returns a typed
 // ErrQueueFull immediately instead of blocking the caller.
 func TestQueueFullShedsWithoutBlocking(t *testing.T) {
-	d := New(Config{})
+	d := New(Config{Limits: Limits{Concurrency: 1, QueueDepth: 1}})
 	defer d.Close()
-	lim := Limits{Concurrency: 1, QueueDepth: 1}
-	release, _ := occupy(t, d, "s", lim)
+	release, _ := occupy(t, d, "s")
 	defer close(release)
 
-	if _, err := d.Submit(context.Background(), "s", "", lim, noop); err != nil {
+	if _, err := d.Submit(context.Background(), "s", "", noop); err != nil {
 		t.Fatalf("queued submit: %v", err)
 	}
 	start := time.Now()
-	_, err := d.Submit(context.Background(), "s", "", lim, noop)
+	_, err := d.Submit(context.Background(), "s", "", noop)
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overfull submit err = %v, want ErrQueueFull", err)
 	}
@@ -70,13 +69,12 @@ func TestQueueFullShedsWithoutBlocking(t *testing.T) {
 // pending map with it, so a later identical submit starts a fresh batch
 // instead of joining the dead one and inheriting its cancellation.
 func TestAbandonedBatchLeavesPendingMap(t *testing.T) {
-	d := New(Config{})
+	d := New(Config{Limits: Limits{Concurrency: 1, QueueDepth: 4}})
 	defer d.Close()
-	lim := Limits{Concurrency: 1, QueueDepth: 4}
-	release, _ := occupy(t, d, "s", lim)
+	release, _ := occupy(t, d, "s")
 
 	ctx, cancel := context.WithCancel(context.Background())
-	tk, err := d.Submit(ctx, "s", "hot-key", lim, noop)
+	tk, err := d.Submit(ctx, "s", "hot-key", noop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +85,7 @@ func TestAbandonedBatchLeavesPendingMap(t *testing.T) {
 	// The same key resubmitted by a live caller must lead a fresh batch,
 	// not join the abandoned one and fail despite its own context being
 	// fine.
-	tk2, err := d.Submit(context.Background(), "s", "hot-key", lim, func(context.Context) (any, error) {
+	tk2, err := d.Submit(context.Background(), "s", "hot-key", func(context.Context) (any, error) {
 		return "fresh", nil
 	})
 	if err != nil {
@@ -112,16 +110,15 @@ func TestAbandonedBatchLeavesPendingMap(t *testing.T) {
 // counter-verified both on the Snapshot and the metrics registry.
 func TestBatchCoalescing(t *testing.T) {
 	reg := obs.NewRegistry()
-	d := New(Config{Metrics: reg})
+	d := New(Config{Metrics: reg, Limits: Limits{Concurrency: 1, QueueDepth: 4}})
 	defer d.Close()
-	lim := Limits{Concurrency: 1, QueueDepth: 4}
-	release, _ := occupy(t, d, "s", lim)
+	release, _ := occupy(t, d, "s")
 
 	var wireCalls atomic.Int64
 	const waiters = 8
 	tickets := make([]*Ticket, waiters)
 	for i := range tickets {
-		tk, err := d.Submit(context.Background(), "s", "same-key", lim, func(context.Context) (any, error) {
+		tk, err := d.Submit(context.Background(), "s", "same-key", func(context.Context) (any, error) {
 			wireCalls.Add(1)
 			return 42, nil
 		})
@@ -176,15 +173,17 @@ func TestBatchCoalescing(t *testing.T) {
 // instead of timing out one waiter at a time.
 func TestRefusedFastDrain(t *testing.T) {
 	var refuse atomic.Bool
-	d := New(Config{Refuse: func(source string) bool { return refuse.Load() }})
+	d := New(Config{
+		Limits: Limits{Concurrency: 1, QueueDepth: 8},
+		Refuse: func(source string) bool { return refuse.Load() },
+	})
 	defer d.Close()
-	lim := Limits{Concurrency: 1, QueueDepth: 8}
-	release, _ := occupy(t, d, "s", lim)
+	release, _ := occupy(t, d, "s")
 
 	var ran atomic.Int64
 	tickets := make([]*Ticket, 5)
 	for i := range tickets {
-		tk, err := d.Submit(context.Background(), "s", "", lim, func(context.Context) (any, error) {
+		tk, err := d.Submit(context.Background(), "s", "", func(context.Context) (any, error) {
 			ran.Add(1)
 			return nil, nil
 		})
@@ -208,19 +207,48 @@ func TestRefusedFastDrain(t *testing.T) {
 	}
 }
 
+// TestPumpRefusalIsFinal pins the pump's fast-drain verdict against a
+// breaker whose cooldown ends right after the pump asked: with a Refuse
+// hook that answers true only on its first call, the batch the pump
+// refused resolves with ErrRefused and its task never runs. Asking the
+// hook a second time before resolving would run the task on the pump
+// goroutine itself — with no worker slot, stalling the source's queue
+// for the whole call.
+func TestPumpRefusalIsFinal(t *testing.T) {
+	var calls atomic.Int64
+	d := New(Config{Refuse: func(string) bool { return calls.Add(1) == 1 }})
+	defer d.Close()
+	var ran atomic.Int64
+	tk, err := d.Submit(context.Background(), "s", "", func(context.Context) (any, error) {
+		ran.Add(1)
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tk.Wait(context.Background()); !errors.Is(err, ErrRefused) {
+		t.Errorf("Wait = %v, want ErrRefused", err)
+	}
+	if ran.Load() != 0 {
+		t.Errorf("refused task ran %d times", ran.Load())
+	}
+	if st := stat(t, d, "s"); st.Refused != 1 {
+		t.Errorf("Refused = %d, want 1", st.Refused)
+	}
+}
+
 // TestQueuedCancellation pins abandonment of a queued-but-not-started
 // batch: the waiter's context ends while the batch waits for a worker,
 // Wait returns promptly with the context error, and the worker later
 // skips the task entirely.
 func TestQueuedCancellation(t *testing.T) {
-	d := New(Config{})
+	d := New(Config{Limits: Limits{Concurrency: 1, QueueDepth: 4}})
 	defer d.Close()
-	lim := Limits{Concurrency: 1, QueueDepth: 4}
-	release, _ := occupy(t, d, "s", lim)
+	release, _ := occupy(t, d, "s")
 
 	var ran atomic.Int64
 	ctx, cancel := context.WithCancel(context.Background())
-	tk, err := d.Submit(ctx, "s", "", lim, func(context.Context) (any, error) {
+	tk, err := d.Submit(ctx, "s", "", func(context.Context) (any, error) {
 		ran.Add(1)
 		return nil, nil
 	})
@@ -234,7 +262,7 @@ func TestQueuedCancellation(t *testing.T) {
 	close(release)
 	// A sentinel task behind the abandoned one proves the worker got past
 	// it without running it.
-	sentinel, err := d.Submit(context.Background(), "s", "", lim, noop)
+	sentinel, err := d.Submit(context.Background(), "s", "", noop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,11 +282,11 @@ func TestQueuedCancellation(t *testing.T) {
 // context end, exactly as an un-dispatched wire call saw its search's
 // context end.
 func TestAbandonMidRunCancelsTask(t *testing.T) {
-	d := New(Config{})
+	d := New(Config{Limits: Limits{Concurrency: 1}})
 	defer d.Close()
 	started := make(chan struct{})
 	stopped := make(chan struct{})
-	tk, err := d.Submit(context.Background(), "s", "", Limits{Concurrency: 1}, func(tctx context.Context) (any, error) {
+	tk, err := d.Submit(context.Background(), "s", "", func(tctx context.Context) (any, error) {
 		close(started)
 		<-tctx.Done()
 		close(stopped)
@@ -286,10 +314,9 @@ func TestAbandonMidRunCancelsTask(t *testing.T) {
 // configured per-source bound.
 func TestInflightStaysBounded(t *testing.T) {
 	reg := obs.NewRegistry()
-	d := New(Config{Metrics: reg})
-	defer d.Close()
 	const bound = 2
-	lim := Limits{Concurrency: bound, QueueDepth: 64}
+	d := New(Config{Metrics: reg, Limits: Limits{Concurrency: bound, QueueDepth: 64}})
+	defer d.Close()
 	gauge := reg.Gauge(obs.L(obs.MDispatchInflight, "source", "s"))
 
 	var peak atomic.Int64
@@ -299,7 +326,7 @@ func TestInflightStaysBounded(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tk, err := d.Submit(context.Background(), "s", "", lim, func(context.Context) (any, error) {
+			tk, err := d.Submit(context.Background(), "s", "", func(context.Context) (any, error) {
 				for {
 					v := gauge.Value()
 					p := peak.Load()
@@ -332,10 +359,9 @@ func TestInflightStaysBounded(t *testing.T) {
 // resolves its batch with an error instead of killing the worker, and
 // the worker keeps serving.
 func TestTaskPanicContained(t *testing.T) {
-	d := New(Config{})
+	d := New(Config{Limits: Limits{Concurrency: 1}})
 	defer d.Close()
-	lim := Limits{Concurrency: 1}
-	tk, err := d.Submit(context.Background(), "s", "", lim, func(context.Context) (any, error) {
+	tk, err := d.Submit(context.Background(), "s", "", func(context.Context) (any, error) {
 		panic("boom")
 	})
 	if err != nil {
@@ -347,7 +373,7 @@ func TestTaskPanicContained(t *testing.T) {
 		t.Fatalf("panic error = %q", got)
 	}
 	// The worker survived: the next task runs normally.
-	tk2, err := d.Submit(context.Background(), "s", "", lim, noop)
+	tk2, err := d.Submit(context.Background(), "s", "", noop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +386,7 @@ func TestTaskPanicContained(t *testing.T) {
 // later submissions fail with ErrClosed.
 func TestCloseRejectsNewWork(t *testing.T) {
 	d := New(Config{})
-	tk, err := d.Submit(context.Background(), "s", "", Limits{}, noop)
+	tk, err := d.Submit(context.Background(), "s", "", noop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,32 +395,24 @@ func TestCloseRejectsNewWork(t *testing.T) {
 	}
 	d.Close()
 	d.Close() // idempotent
-	if _, err := d.Submit(context.Background(), "s", "", Limits{}, noop); !errors.Is(err, ErrClosed) {
+	if _, err := d.Submit(context.Background(), "s", "", noop); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close = %v, want ErrClosed", err)
 	}
 }
 
 // TestSnapshotShape pins Snapshot ordering and the effective limits it
-// reports, including first-touch-wins queue sizing.
+// reports.
 func TestSnapshotShape(t *testing.T) {
 	d := New(Config{Limits: Limits{Concurrency: 3, QueueDepth: 7}})
 	defer d.Close()
 	for _, s := range []string{"b", "a"} {
-		tk, err := d.Submit(context.Background(), s, "", Limits{}, noop)
+		tk, err := d.Submit(context.Background(), s, "", noop)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := tk.Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// A later submit with different limits must not resize "a"'s queue.
-	tk, err := d.Submit(context.Background(), "a", "", Limits{Concurrency: 9, QueueDepth: 9}, noop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tk.Wait(context.Background()); err != nil {
-		t.Fatal(err)
 	}
 	stats := d.Snapshot()
 	if len(stats) != 2 || stats[0].Source != "a" || stats[1].Source != "b" {
@@ -428,9 +446,8 @@ func stat(t *testing.T, d *Dispatcher, source string) QueueStat {
 // no new task starts until enough running ones finish to fall under the
 // new bound.
 func TestResizeShrinkBelowInflight(t *testing.T) {
-	d := New(Config{})
+	d := New(Config{Limits: Limits{Concurrency: 3, QueueDepth: 8}})
 	defer d.Close()
-	lim := Limits{Concurrency: 3, QueueDepth: 8}
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
 	blocker := func(context.Context) (any, error) {
@@ -440,7 +457,7 @@ func TestResizeShrinkBelowInflight(t *testing.T) {
 	}
 	var tickets []*Ticket
 	for i := 0; i < 3; i++ {
-		tk, err := d.Submit(context.Background(), "s", "", lim, blocker)
+		tk, err := d.Submit(context.Background(), "s", "", blocker)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -460,7 +477,7 @@ func TestResizeShrinkBelowInflight(t *testing.T) {
 		t.Fatalf("after shrink: workers=%d inflight=%d, want 1/3 (running tasks uninterrupted)", st.Workers, st.Inflight)
 	}
 	// A fourth task must not start while 3 > limit 1 are still running.
-	tk, err := d.Submit(context.Background(), "s", "", lim, blocker)
+	tk, err := d.Submit(context.Background(), "s", "", blocker)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,16 +502,15 @@ func TestResizeShrinkBelowInflight(t *testing.T) {
 // at its depth bound admits again the moment Resize raises the bound,
 // and a concurrency grow puts the extra workers to use immediately.
 func TestResizeGrowWhileQueueFull(t *testing.T) {
-	d := New(Config{})
+	d := New(Config{Limits: Limits{Concurrency: 1, QueueDepth: 1}})
 	defer d.Close()
-	lim := Limits{Concurrency: 1, QueueDepth: 1}
-	release, _ := occupy(t, d, "s", lim)
+	release, _ := occupy(t, d, "s")
 	defer close(release)
 
-	if _, err := d.Submit(context.Background(), "s", "", lim, noop); err != nil {
+	if _, err := d.Submit(context.Background(), "s", "", noop); err != nil {
 		t.Fatalf("queued submit: %v", err)
 	}
-	if _, err := d.Submit(context.Background(), "s", "", lim, noop); !errors.Is(err, ErrQueueFull) {
+	if _, err := d.Submit(context.Background(), "s", "", noop); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overfull submit err = %v, want ErrQueueFull", err)
 	}
 	if !d.Resize("s", Limits{Concurrency: 2, QueueDepth: 4}) {
@@ -503,7 +519,7 @@ func TestResizeGrowWhileQueueFull(t *testing.T) {
 	// The same submission that was just shed is admitted under the new
 	// bound, and with a second worker slot it runs to completion even
 	// though the original blocker still holds the first.
-	tk, err := d.Submit(context.Background(), "s", "", lim, noop)
+	tk, err := d.Submit(context.Background(), "s", "", noop)
 	if err != nil {
 		t.Fatalf("submit after grow: %v", err)
 	}
@@ -528,7 +544,7 @@ func TestResizeUnknownSource(t *testing.T) {
 	if d.Resize("ghost", Limits{Concurrency: 2}) {
 		t.Error("Resize of unknown source reported true")
 	}
-	tk, err := d.Submit(context.Background(), "s", "", Limits{}, noop)
+	tk, err := d.Submit(context.Background(), "s", "", noop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +563,7 @@ func TestResizeUnknownSource(t *testing.T) {
 func TestResizeQueueDepthClampedToChannel(t *testing.T) {
 	d := New(Config{})
 	defer d.Close()
-	tk, err := d.Submit(context.Background(), "s", "", Limits{}, noop)
+	tk, err := d.Submit(context.Background(), "s", "", noop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,9 +580,8 @@ func TestResizeQueueDepthClampedToChannel(t *testing.T) {
 // submit/wait workload under -race: no data race, no lost work, and the
 // final state honors the last applied bounds.
 func TestConcurrentResizeAndSubmit(t *testing.T) {
-	d := New(Config{})
+	d := New(Config{Limits: Limits{Concurrency: 2, QueueDepth: 32}})
 	defer d.Close()
-	lim := Limits{Concurrency: 2, QueueDepth: 32}
 	stop := make(chan struct{})
 	var resizes sync.WaitGroup
 	resizes.Add(1)
@@ -590,7 +605,7 @@ func TestConcurrentResizeAndSubmit(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				tk, err := d.Submit(context.Background(), "s", "", lim, func(context.Context) (any, error) {
+				tk, err := d.Submit(context.Background(), "s", "", func(context.Context) (any, error) {
 					time.Sleep(100 * time.Microsecond)
 					return nil, nil
 				})
@@ -627,10 +642,10 @@ func TestConcurrentResizeAndSubmit(t *testing.T) {
 
 // slowRuns primes a source's recent-run ring with minRunSamples runs of
 // roughly d each.
-func slowRuns(t *testing.T, d *Dispatcher, source string, lim Limits, dur time.Duration) {
+func slowRuns(t *testing.T, d *Dispatcher, source string, dur time.Duration) {
 	t.Helper()
 	for i := 0; i < minRunSamples; i++ {
-		tk, err := d.Submit(context.Background(), source, "", lim, func(context.Context) (any, error) {
+		tk, err := d.Submit(context.Background(), source, "", func(context.Context) (any, error) {
 			time.Sleep(dur)
 			return nil, nil
 		})
@@ -648,23 +663,22 @@ func slowRuns(t *testing.T, d *Dispatcher, source string, lim Limits, dur time.D
 // budget — and the source is busy — Submit fails fast with ErrDeadline
 // instead of queueing work doomed to time out.
 func TestDeadlineDoomedSubmit(t *testing.T) {
-	d := New(Config{})
+	d := New(Config{Limits: Limits{Concurrency: 1, QueueDepth: 8}})
 	defer d.Close()
-	lim := Limits{Concurrency: 1, QueueDepth: 8}
-	slowRuns(t, d, "s", lim, 20*time.Millisecond)
+	slowRuns(t, d, "s", 20*time.Millisecond)
 
 	// Busy source: the doom check only fires with work in flight.
-	release, blocker := occupy(t, d, "s", lim)
+	release, blocker := occupy(t, d, "s")
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
-	_, err := d.Submit(ctx, "s", "", lim, noop)
+	_, err := d.Submit(ctx, "s", "", noop)
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("tight-budget submit err = %v, want ErrDeadline", err)
 	}
 	// A budget comfortably above the median is admitted.
 	okCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel2()
-	tk, err := d.Submit(okCtx, "s", "", lim, noop)
+	tk, err := d.Submit(okCtx, "s", "", noop)
 	if err != nil {
 		t.Fatalf("roomy-budget submit err = %v, want admission", err)
 	}
@@ -692,14 +706,13 @@ func TestDeadlineDoomedSubmit(t *testing.T) {
 // submission, so probes keep refreshing the estimate after the source
 // recovers instead of the history locking it out forever.
 func TestDeadlineIdleProbeBypass(t *testing.T) {
-	d := New(Config{})
+	d := New(Config{Limits: Limits{Concurrency: 1, QueueDepth: 8}})
 	defer d.Close()
-	lim := Limits{Concurrency: 1, QueueDepth: 8}
-	slowRuns(t, d, "s", lim, 20*time.Millisecond)
+	slowRuns(t, d, "s", 20*time.Millisecond)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
-	tk, err := d.Submit(ctx, "s", "", lim, noop) // idle: inflight == 0
+	tk, err := d.Submit(ctx, "s", "", noop) // idle: inflight == 0
 	if err != nil {
 		t.Fatalf("idle-source submit err = %v, want admission (probe bypass)", err)
 	}
@@ -714,14 +727,13 @@ func TestDeadlineIdleProbeBypass(t *testing.T) {
 // TestDeadlineNoEstimateAdmits pins that the doom check stays out of the
 // way before minRunSamples observations exist.
 func TestDeadlineNoEstimateAdmits(t *testing.T) {
-	d := New(Config{})
+	d := New(Config{Limits: Limits{Concurrency: 1, QueueDepth: 8}})
 	defer d.Close()
-	lim := Limits{Concurrency: 1, QueueDepth: 8}
-	release, blocker := occupy(t, d, "s", lim)
+	release, blocker := occupy(t, d, "s")
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	// Busy source, tight budget, but only one run ever: admit.
-	tk, err := d.Submit(ctx, "s", "", lim, noop)
+	tk, err := d.Submit(ctx, "s", "", noop)
 	if err != nil {
 		t.Fatalf("no-estimate submit err = %v, want admission", err)
 	}

@@ -5,14 +5,26 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// muxExec returns a MuxExec echoing each item, counting calls and the
+// submitMux queues one multiplexable item for source with exec as its
+// group executor — what SubmitQuery does for a batch-capable conn, with
+// the wire payload left to the test.
+func submitMux(ctx context.Context, d *Dispatcher, source, key string, item any, exec muxExec) (*Ticket, error) {
+	q, err := d.queueFor(source)
+	if err != nil {
+		return nil, err
+	}
+	return q.submit(ctx, key, nil, item, exec)
+}
+
+// echoExec returns a muxExec echoing each item, counting calls and the
 // sizes of the groups it saw.
-func muxExec(calls *atomic.Int64, sizes chan<- int) MuxExec {
+func echoExec(calls *atomic.Int64, sizes chan<- int) muxExec {
 	return func(ctx context.Context, items []any) ([]any, []error) {
 		calls.Add(1)
 		if sizes != nil {
@@ -29,20 +41,19 @@ func muxExec(calls *atomic.Int64, sizes chan<- int) MuxExec {
 // the freed worker drains them all into ONE exec call, each ticket
 // getting its own item's value back.
 func TestSubmitMuxDrainsQueueIntoOneWireCall(t *testing.T) {
-	d := New(Config{})
+	d := New(Config{Limits: Limits{Concurrency: 1, QueueDepth: 16}})
 	defer d.Close()
-	lim := Limits{Concurrency: 1, QueueDepth: 16}
-	release, _ := occupy(t, d, "s", lim)
+	release, _ := occupy(t, d, "s")
 
 	const n = 5
 	var calls atomic.Int64
 	sizes := make(chan int, n)
-	exec := muxExec(&calls, sizes)
+	exec := echoExec(&calls, sizes)
 	tickets := make([]*Ticket, n)
 	for i := 0; i < n; i++ {
-		tk, err := d.SubmitMux(context.Background(), "s", fmt.Sprintf("k%d", i), lim, i, exec)
+		tk, err := submitMux(context.Background(), d, "s", fmt.Sprintf("k%d", i), i, exec)
 		if err != nil {
-			t.Fatalf("SubmitMux %d: %v", i, err)
+			t.Fatalf("submitMux %d: %v", i, err)
 		}
 		tickets[i] = tk
 	}
@@ -73,20 +84,19 @@ func TestSubmitMuxDrainsQueueIntoOneWireCall(t *testing.T) {
 // TestSubmitMuxRespectsMaxBatchWire pins the drain bound: a queue deeper
 // than MaxBatchWire splits into wire calls no larger than the bound.
 func TestSubmitMuxRespectsMaxBatchWire(t *testing.T) {
-	d := New(Config{})
+	d := New(Config{Limits: Limits{Concurrency: 1, QueueDepth: 16, MaxBatchWire: 2}})
 	defer d.Close()
-	lim := Limits{Concurrency: 1, QueueDepth: 16, MaxBatchWire: 2}
-	release, _ := occupy(t, d, "s", lim)
+	release, _ := occupy(t, d, "s")
 
 	const n = 6
 	var calls atomic.Int64
 	sizes := make(chan int, n)
-	exec := muxExec(&calls, sizes)
+	exec := echoExec(&calls, sizes)
 	tickets := make([]*Ticket, n)
 	for i := 0; i < n; i++ {
-		tk, err := d.SubmitMux(context.Background(), "s", fmt.Sprintf("k%d", i), lim, i, exec)
+		tk, err := submitMux(context.Background(), d, "s", fmt.Sprintf("k%d", i), i, exec)
 		if err != nil {
-			t.Fatalf("SubmitMux %d: %v", i, err)
+			t.Fatalf("submitMux %d: %v", i, err)
 		}
 		tickets[i] = tk
 	}
@@ -115,19 +125,18 @@ func TestSubmitMuxRespectsMaxBatchWire(t *testing.T) {
 // survives the mux path: identical in-flight keys still share one
 // ticket-resolved value rather than occupying two group slots.
 func TestSubmitMuxCoalescesIdenticalKeys(t *testing.T) {
-	d := New(Config{})
+	d := New(Config{Limits: Limits{Concurrency: 1, QueueDepth: 16}})
 	defer d.Close()
-	lim := Limits{Concurrency: 1, QueueDepth: 16}
-	release, _ := occupy(t, d, "s", lim)
+	release, _ := occupy(t, d, "s")
 
 	var calls atomic.Int64
 	sizes := make(chan int, 2)
-	exec := muxExec(&calls, sizes)
-	a, err := d.SubmitMux(context.Background(), "s", "same", lim, "x", exec)
+	exec := echoExec(&calls, sizes)
+	a, err := submitMux(context.Background(), d, "s", "same", "x", exec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := d.SubmitMux(context.Background(), "s", "same", lim, "x", exec)
+	b, err := submitMux(context.Background(), d, "s", "same", "x", exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +168,9 @@ func TestSubmitMuxCoalescesIdenticalKeys(t *testing.T) {
 // one of the failed tickets is the primary fault; successful members
 // report false, and a single-task batch reports true.
 func TestFaultPrimaryChargesOneMemberPerWireCall(t *testing.T) {
-	d := New(Config{})
+	d := New(Config{Limits: Limits{Concurrency: 1, QueueDepth: 16}})
 	defer d.Close()
-	lim := Limits{Concurrency: 1, QueueDepth: 16}
-	release, _ := occupy(t, d, "s", lim)
+	release, _ := occupy(t, d, "s")
 
 	// Items 0 and 2 fail, item 1 succeeds.
 	exec := func(ctx context.Context, items []any) ([]any, []error) {
@@ -180,7 +188,7 @@ func TestFaultPrimaryChargesOneMemberPerWireCall(t *testing.T) {
 	const n = 3
 	tickets := make([]*Ticket, n)
 	for i := 0; i < n; i++ {
-		tk, err := d.SubmitMux(context.Background(), "s", fmt.Sprintf("k%d", i), lim, i, exec)
+		tk, err := submitMux(context.Background(), d, "s", fmt.Sprintf("k%d", i), i, exec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +221,7 @@ func TestFaultPrimaryChargesOneMemberPerWireCall(t *testing.T) {
 
 	// A single-task mux batch is its own wire call: its failure is always
 	// primary.
-	tk, err := d.SubmitMux(context.Background(), "s", "solo", lim, 0, exec)
+	tk, err := submitMux(context.Background(), d, "s", "solo", 0, exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,19 +237,18 @@ func TestFaultPrimaryChargesOneMemberPerWireCall(t *testing.T) {
 // panicking exec resolves every member with an error instead of killing
 // the worker goroutine, and the queue keeps serving afterwards.
 func TestMuxExecPanicFailsGroupNotWorker(t *testing.T) {
-	d := New(Config{})
+	d := New(Config{Limits: Limits{Concurrency: 1, QueueDepth: 16}})
 	defer d.Close()
-	lim := Limits{Concurrency: 1, QueueDepth: 16}
-	release, _ := occupy(t, d, "s", lim)
+	release, _ := occupy(t, d, "s")
 
 	boom := func(ctx context.Context, items []any) ([]any, []error) {
 		panic("exec exploded")
 	}
-	a, err := d.SubmitMux(context.Background(), "s", "a", lim, 1, boom)
+	a, err := submitMux(context.Background(), d, "s", "a", 1, boom)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := d.SubmitMux(context.Background(), "s", "b", lim, 2, boom)
+	b, err := submitMux(context.Background(), d, "s", "b", 2, boom)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +259,7 @@ func TestMuxExecPanicFailsGroupNotWorker(t *testing.T) {
 		}
 	}
 	// The worker survived: plain work still runs.
-	tk, err := d.Submit(context.Background(), "s", "", lim, func(context.Context) (any, error) { return "ok", nil })
+	tk, err := d.Submit(context.Background(), "s", "", func(context.Context) (any, error) { return "ok", nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,20 +273,19 @@ func TestMuxExecPanicFailsGroupNotWorker(t *testing.T) {
 // left before the drain ran resolves as cancelled and is NOT handed to
 // the exec — the group shrinks instead.
 func TestRunGroupSkipsAbandonedMembers(t *testing.T) {
-	d := New(Config{})
+	d := New(Config{Limits: Limits{Concurrency: 1, QueueDepth: 16}})
 	defer d.Close()
-	lim := Limits{Concurrency: 1, QueueDepth: 16}
-	release, _ := occupy(t, d, "s", lim)
+	release, _ := occupy(t, d, "s")
 
 	var calls atomic.Int64
 	sizes := make(chan int, 2)
-	exec := muxExec(&calls, sizes)
+	exec := echoExec(&calls, sizes)
 	ctx, cancel := context.WithCancel(context.Background())
-	doomed, err := d.SubmitMux(ctx, "s", "doomed", lim, "doomed", exec)
+	doomed, err := submitMux(ctx, d, "s", "doomed", "doomed", exec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := d.SubmitMux(context.Background(), "s", "live", lim, "live", exec)
+	live, err := submitMux(context.Background(), d, "s", "live", "live", exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,10 +310,9 @@ func TestRunGroupSkipsAbandonedMembers(t *testing.T) {
 // one member abandoning mid-run must NOT cancel the shared wire call
 // while another member still waits.
 func TestGroupContextOutlivesMemberAbandon(t *testing.T) {
-	d := New(Config{})
+	d := New(Config{Limits: Limits{Concurrency: 1, QueueDepth: 16}})
 	defer d.Close()
-	lim := Limits{Concurrency: 1, QueueDepth: 16}
-	release, _ := occupy(t, d, "s", lim)
+	release, _ := occupy(t, d, "s")
 
 	started := make(chan struct{})
 	finish := make(chan struct{})
@@ -324,11 +329,11 @@ func TestGroupContextOutlivesMemberAbandon(t *testing.T) {
 		return vals, make([]error, len(items))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	quitter, err := d.SubmitMux(ctx, "s", "quitter", lim, "q", exec)
+	quitter, err := submitMux(ctx, d, "s", "quitter", "q", exec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stayer, err := d.SubmitMux(context.Background(), "s", "stayer", lim, "st", exec)
+	stayer, err := submitMux(context.Background(), d, "s", "stayer", "st", exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,5 +359,60 @@ func TestGroupContextOutlivesMemberAbandon(t *testing.T) {
 	}
 	if sawCancel.Load() {
 		t.Error("group context was cancelled while a member still waited")
+	}
+}
+
+// TestPumpRefusalMidDrainIsFinal is TestPumpRefusalIsFinal for a mux
+// batch the pump meets while draining a group: refused by the one
+// Refuse call that answers true, it resolves with ErrRefused and never
+// reaches the exec, while the group it would have joined still runs.
+func TestPumpRefusalMidDrainIsFinal(t *testing.T) {
+	var calls, refuseAt atomic.Int64
+	d := New(Config{
+		Limits: Limits{Concurrency: 1, QueueDepth: 16},
+		Refuse: func(string) bool { return calls.Add(1) == refuseAt.Load() },
+	})
+	defer d.Close()
+	release, _ := occupy(t, d, "s") // the pump and the worker each ask once
+	var mu sync.Mutex
+	var executed []any
+	exec := func(ctx context.Context, items []any) ([]any, []error) {
+		mu.Lock()
+		executed = append(executed, items...)
+		mu.Unlock()
+		return items, make([]error, len(items))
+	}
+	head, err := submitMux(context.Background(), d, "s", "head", "head", exec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The pump asks once more as it takes the head, then parks at the
+	// busy worker slot.
+	deadline := time.Now().Add(2 * time.Second)
+	for calls.Load() < 3 {
+		if time.Now().After(deadline) {
+			t.Fatal("pump never took the head batch")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	tail, err := submitMux(context.Background(), d, "s", "tail", "tail", exec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refuseAt.Store(4) // the pump's check of the tail as it drains
+	close(release)
+	if v, err := head.Wait(context.Background()); err != nil || v != "head" {
+		t.Errorf("head = (%v, %v), want (head, nil)", v, err)
+	}
+	if _, err := tail.Wait(context.Background()); !errors.Is(err, ErrRefused) {
+		t.Errorf("tail err = %v, want ErrRefused", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(executed) != 1 || executed[0] != "head" {
+		t.Errorf("exec ran items %v, want [head]", executed)
+	}
+	if st := stat(t, d, "s"); st.Refused != 1 {
+		t.Errorf("Refused = %d, want 1", st.Refused)
 	}
 }

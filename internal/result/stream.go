@@ -160,15 +160,11 @@ func DecodeStreamItem(dec *soif.Decoder) (*StreamItem, error) {
 	if err != nil || rank < 0 {
 		return nil, fmt.Errorf("result: invalid stream frame Rank %q", v)
 	}
-	nv, ok := head.Get("NumDocSOIFs")
-	if !ok {
-		return nil, fmt.Errorf("result: @%s frame missing NumDocSOIFs", StreamItemType)
+	n, err := numDocSOIFs(head)
+	if err != nil {
+		return nil, err
 	}
-	n, err := strconv.Atoi(strings.TrimSpace(nv))
-	if err != nil || n < 0 {
-		return nil, fmt.Errorf("result: invalid stream frame NumDocSOIFs %q", nv)
-	}
-	it := &StreamItem{Rank: rank, Docs: make([]*Document, 0, n)}
+	it := &StreamItem{Rank: rank, Docs: make([]*Document, 0, min(n, docChunk))}
 	for i := 0; i < n; i++ {
 		o, err := dec.Decode()
 		if err != nil {
@@ -183,23 +179,39 @@ func DecodeStreamItem(dec *soif.Decoder) (*StreamItem, error) {
 	return it, nil
 }
 
+// docChunk caps how many documents a decoder preallocates room for.
+// NumDocSOIFs is the sender's claim, not a fact: a larger count grows
+// only as documents actually arrive, so a false count costs at most what
+// the stream really carries (as soif.Decoder treats declared value
+// lengths).
+const docChunk = 64
+
+// numDocSOIFs reads a frame header's NumDocSOIFs count.
+func numDocSOIFs(head *soif.Object) (int, error) {
+	v, ok := head.Get("NumDocSOIFs")
+	if !ok {
+		return 0, fmt.Errorf("result: @%s header missing NumDocSOIFs", head.Type)
+	}
+	n, err := strconv.Atoi(strings.TrimSpace(v))
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("result: @%s header: invalid NumDocSOIFs %q", head.Type, v)
+	}
+	return n, nil
+}
+
 // decodeResultsBody consumes the NumDocSOIFs documents promised by an
 // already-decoded @SQResults header and assembles the whole result.
 func decodeResultsBody(dec *soif.Decoder, head *soif.Object) (*Results, error) {
-	nv, ok := head.Get("NumDocSOIFs")
-	if !ok {
-		return nil, fmt.Errorf("result: streamed @%s header missing NumDocSOIFs", ResultsType)
+	n, err := numDocSOIFs(head)
+	if err != nil {
+		return nil, err
 	}
-	n, err := strconv.Atoi(strings.TrimSpace(nv))
-	if err != nil || n < 0 {
-		return nil, fmt.Errorf("result: streamed @%s header: invalid NumDocSOIFs %q", ResultsType, nv)
-	}
-	objs := make([]*soif.Object, 0, n+1)
+	objs := make([]*soif.Object, 0, min(n, docChunk)+1)
 	objs = append(objs, head)
 	for i := 0; i < n; i++ {
 		o, err := dec.Decode()
 		if err != nil {
-			return nil, fmt.Errorf("result: streamed answer: document %d of %d: %w", i, n, err)
+			return nil, fmt.Errorf("result: document %d of %d: %w", i, n, err)
 		}
 		objs = append(objs, o)
 	}

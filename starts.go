@@ -273,21 +273,6 @@ func WithCache(c *QueryCache) SearchOption { return core.WithCache(c) }
 // WithNoCache bypasses the query-result cache for this search.
 func WithNoCache() SearchOption { return core.WithNoCache() }
 
-// WithSourceConcurrency caps this search's per-source parallel wire
-// calls; takes effect only for sources whose dispatch queue this search
-// is the first to touch.
-func WithSourceConcurrency(n int) SearchOption { return core.WithSourceConcurrency(n) }
-
-// WithQueueDepth bounds how many batches may wait per source before the
-// dispatcher sheds with ErrQueueFull; first-touch only, like
-// WithSourceConcurrency.
-func WithQueueDepth(n int) SearchOption { return core.WithQueueDepth(n) }
-
-// WithMaxBatchWire bounds how many distinct queued queries one wire call
-// multiplexes for this search's batch-capable (BatchConn) sources;
-// first-touch only, like WithSourceConcurrency.
-func WithMaxBatchWire(n int) SearchOption { return core.WithMaxBatchWire(n) }
-
 // Query-result caching and load shedding.
 type (
 	// QueryCache is a sharded LRU+TTL query-result cache with
@@ -405,8 +390,9 @@ type (
 	Dispatcher = dispatch.Dispatcher
 	// DispatchConfig configures a Dispatcher; its zero value is usable.
 	DispatchConfig = dispatch.Config
-	// DispatchLimits sizes one source's queue: worker count and queue
-	// depth. Queues are sized on first contact.
+	// DispatchLimits sizes a source's queue: worker count, queue depth
+	// and wire-batch bound. DispatchConfig.Limits sizes every queue a
+	// dispatcher creates; Dispatcher.Resize retunes a live one.
 	DispatchLimits = dispatch.Limits
 	// DispatchQueueStat is one source's dispatch counters, as reported
 	// by Metasearcher.DispatchStats and GET /debug/dispatch.
@@ -618,10 +604,12 @@ func CacheMiddleware(cache *QueryCache) ConnMiddleware {
 //	conn = starts.ChainConn(conn,
 //		starts.RetryMiddleware(policy, budget),
 //		starts.CacheMiddleware(cache),
-//		starts.DispatchMiddleware(d, starts.DispatchLimits{}),
+//		starts.DispatchMiddleware(d),
 //		starts.ObserveMiddleware(reg))
-func DispatchMiddleware(d *Dispatcher, lim DispatchLimits) ConnMiddleware {
-	return func(c Conn) Conn { return dispatch.WrapConn(c, d, lim) }
+//
+// Every source's queue is sized by d's DispatchConfig.Limits.
+func DispatchMiddleware(d *Dispatcher) ConnMiddleware {
+	return func(c Conn) Conn { return dispatch.WrapConn(c, d) }
 }
 
 // Selectors.
